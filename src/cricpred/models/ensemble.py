@@ -6,20 +6,12 @@ import math
 
 import numpy as np
 
+from .linear import sigmoid
 from .tree import (
     fit_classification_tree,
     fit_regression_tree,
     tree_predict_matrix,
 )
-
-
-def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
 
 
 def train_random_forest(X, y, hp, seed):
@@ -58,7 +50,7 @@ def train_gradient_boosting(X, y, hp, seed):
     f = np.full(X.shape[0], f0)
     trees = []
     for _ in range(n_rounds):
-        p = _sigmoid(f)
+        p = sigmoid(f)
         grad = y - p          # negative gradient of logistic loss
         hess = p * (1.0 - p)
         tree = fit_regression_tree(X, grad, hess, max_depth=max_depth)
@@ -72,4 +64,4 @@ def predict_gradient_boosting(params, X):
     f = np.full(X.shape[0], params["base_score"])
     for tree in params["trees"]:
         f = f + params["shrinkage"] * tree_predict_matrix(tree, X)
-    return _sigmoid(f)
+    return sigmoid(f)

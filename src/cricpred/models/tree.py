@@ -2,37 +2,63 @@
 
 Trees are represented as nested dicts (JSON-friendly): internal nodes carry
 ``feature``/``threshold``/``left``/``right``, leaves carry ``value``.
+
+Columns whose every value is 0.0 or 1.0 (the dummy-coded categoricals) are
+scored together from counts; other columns are sorted and scanned. Both
+paths give the same scores, so the trees do not depend on which path a
+column takes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..kernels import best_split_gini, best_split_sse
+from ..kernels import (
+    best_split_gini,
+    best_split_sse,
+    count_split_gini,
+    count_split_sse,
+)
 
 _INF = float("inf")
 
 
-def _best_split(X, idx, criterion_values, min_leaf, features, kernel, maximize):
-    """Best (feature, split index, sort order) over the candidate features."""
-    best_score = -_INF if maximize else _INF
-    best = None
-    for f in features:
-        col = X[idx, f]
+def _binary_columns(X):
+    return np.all((X == 0.0) | (X == 1.0), axis=0)
+
+
+def _best_split(X, idx, crit, min_leaf, features, binary, kernel, count_kernel,
+                maximize):
+    """Best ``(feature, threshold, left idx, right idx)`` over the candidate
+    features, or None. ``crit`` holds the criterion values of ``idx``'s rows;
+    on a tied score the earliest feature wins."""
+    scores = np.full(features.size, -_INF if maximize else _INF)
+    is_binary = binary[features]
+    if is_binary.any():
+        scores[is_binary] = count_kernel(X[idx[:, None], features[is_binary]],
+                                         crit, min_leaf)
+    sorted_splits = {}
+    for k in (~is_binary).nonzero()[0]:
+        col = X[idx, features[k]]
         order = np.argsort(col, kind="stable")
-        values = np.ascontiguousarray(col[order])
-        crit = np.ascontiguousarray(criterion_values[idx][order])
-        i, score = kernel(values, crit, min_leaf)
-        if i < 0:
-            continue
-        if (score > best_score) if maximize else (score < best_score):
-            best_score = score
-            best = (f, i, order, values)
-    return best
+        values = col[order]
+        i, score = kernel(values, crit[order], min_leaf)
+        if i >= 0:
+            scores[k] = score
+            sorted_splits[k] = (order, i, (values[i - 1] + values[i]) / 2.0)
+    k = int(scores.argmax() if maximize else scores.argmin())
+    if abs(scores[k]) == _INF:  # no candidate has a valid split
+        return None
+    f = features[k]
+    if k in sorted_splits:
+        order, i, threshold = sorted_splits[k]
+        return f, threshold, idx[order[:i]], idx[order[i:]]
+    ones = X[idx, f] == 1.0
+    return f, 0.5, idx[~ones], idx[ones]
 
 
 def _grow(X, idx, criterion_values, leaf_value, min_leaf, max_depth, depth,
-          rng, max_features, kernel, maximize):
+          rng, max_features, binary, kernel, count_kernel, maximize):
     n_features = X.shape[1]
     crit = criterion_values[idx]
     done = ((max_depth is not None and depth >= max_depth)
@@ -44,22 +70,19 @@ def _grow(X, idx, criterion_values, leaf_value, min_leaf, max_depth, depth,
             features = np.sort(chosen)
         else:
             features = np.arange(n_features)
-        split = _best_split(X, idx, criterion_values, min_leaf, features,
-                            kernel, maximize)
+        split = _best_split(X, idx, crit, min_leaf, features, binary,
+                            kernel, count_kernel, maximize)
         done = split is None
     if done:
         return {"value": leaf_value(idx)}
-    f, i, order, values = split
-    threshold = (values[i - 1] + values[i]) / 2.0
-    left_idx = idx[order[:i]]
-    right_idx = idx[order[i:]]
+    f, threshold, left_idx, right_idx = split
+    args = (criterion_values, leaf_value, min_leaf, max_depth, depth + 1,
+            rng, max_features, binary, kernel, count_kernel, maximize)
     return {
         "feature": int(f),
         "threshold": float(threshold),
-        "left": _grow(X, left_idx, criterion_values, leaf_value, min_leaf,
-                      max_depth, depth + 1, rng, max_features, kernel, maximize),
-        "right": _grow(X, right_idx, criterion_values, leaf_value, min_leaf,
-                       max_depth, depth + 1, rng, max_features, kernel, maximize),
+        "left": _grow(X, left_idx, *args),
+        "right": _grow(X, right_idx, *args),
     }
 
 
@@ -74,7 +97,8 @@ def fit_classification_tree(X, y, min_leaf=1, max_depth=None, rng=None,
         return float(y[node_idx].mean())
 
     return _grow(X, idx, y, leaf_value, min_leaf, max_depth, 0, rng,
-                 max_features, best_split_gini, maximize=False)
+                 max_features, _binary_columns(X), best_split_gini,
+                 count_split_gini, maximize=False)
 
 
 def fit_regression_tree(X, grad, hess, min_leaf=1, max_depth=3):
@@ -90,7 +114,8 @@ def fit_regression_tree(X, grad, hess, min_leaf=1, max_depth=3):
         return float(grad[node_idx].sum()) / (denom + 1e-12)
 
     return _grow(X, idx, grad, leaf_value, min_leaf, max_depth, 0, None,
-                 None, best_split_sse, maximize=True)
+                 None, _binary_columns(X), best_split_sse, count_split_sse,
+                 maximize=True)
 
 
 def tree_predict(node, row):

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from cricpred import kernels
-from cricpred.kernels import _split_py
 
 INF = float("inf")
 
 
 def brute_gini(values, labels, min_leaf):
-    """Enumerate every cut point; the reference for both backends."""
+    """Enumerate every cut point; the reference for the sorted-column scan."""
     n = len(values)
     best = (-1, INF)
     for i in range(1, n):
@@ -81,24 +80,71 @@ class TestAgainstBruteForce:
                 assert got[1] == pytest.approx(want[1], rel=1e-12, abs=1e-12)
 
 
-class TestBackendEquivalence:
-    def test_compiled_available_unless_disabled(self):
-        assert kernels.BACKEND in ("compiled", "python")
+class TestBackend:
+    def test_backend_is_python(self):
+        assert kernels.BACKEND == "python"
 
-    @pytest.mark.skipif(kernels.BACKEND != "compiled",
-                        reason="compiled backend not built")
-    def test_bit_identical_results(self):
-        from cricpred.kernels import _split
-        rng = np.random.default_rng(2)
-        for _ in range(300):
-            values, labels, min_leaf = random_case(rng, "labels")
-            a = _split.best_split_gini(values, labels, min_leaf)
-            b = _split_py.best_split_gini(values, labels, min_leaf)
-            assert a == b  # exact, including the impurity float
-            targets = rng.normal(size=len(values))
-            a = _split.best_split_sse(values, targets, min_leaf)
-            b = _split_py.best_split_sse(values, targets, min_leaf)
-            assert a == b
+
+def random_node(rng):
+    """Rows of one tree node, in a shuffled ``idx`` order, from a matrix
+    mixing 0/1 columns with tied and continuous numeric ones."""
+    n_all = int(rng.integers(2, 120))
+    idx = rng.permutation(n_all)[:int(rng.integers(1, n_all + 1))]
+    cols = []
+    for _ in range(int(rng.integers(1, 10))):
+        kind = int(rng.integers(6))
+        if kind == 0:
+            col = np.zeros(n_all)
+        elif kind == 1:
+            col = (rng.random(n_all) < rng.random()).astype(np.float64)
+        elif kind == 2:  # 0/1 in the matrix, constant within the node
+            col = np.ones(n_all)
+            col[rng.integers(n_all)] = 0.0
+            col[idx] = float(rng.integers(2))
+        elif kind == 3:
+            col = rng.integers(0, 4, n_all).astype(np.float64)  # heavy ties
+        elif kind == 4:
+            col = rng.integers(0, 2, n_all) * 2.0  # 0/2: numeric, not 0/1
+        else:
+            col = rng.normal(size=n_all)
+        cols.append(col)
+    X = np.column_stack(cols)[idx]
+    binary = np.all((X == 0.0) | (X == 1.0), axis=0)
+    return X, binary, int(rng.integers(1, 5))
+
+
+class TestCountSplitsMatchSortedScan:
+    """The count-based score of each 0/1 column equals the sorted-column
+    kernel's, bit for bit, with the left child the column's zeros."""
+
+    def check(self, count_kernel, kernel, crit_of, sentinel, seed):
+        rng = np.random.default_rng(seed)
+        outcomes = {True: 0, False: 0}  # valid split found / none
+        for _ in range(400):
+            X, binary, min_leaf = random_node(rng)
+            crit = crit_of(rng, X.shape[0])
+            B = X[:, binary]
+            scores = count_kernel(B, crit, min_leaf)
+            assert scores.shape == (B.shape[1],)
+            for k in range(B.shape[1]):
+                col = B[:, k]
+                order = np.argsort(col, kind="stable")
+                want = kernel(col[order], crit[order], min_leaf)
+                got_i = int(np.sum(col == 0.0)) if scores[k] != sentinel else -1
+                assert (got_i, scores[k]) == want
+                outcomes[want[0] > 0] += 1
+        assert min(outcomes.values()) > 100
+
+    def test_gini(self):
+        self.check(kernels.count_split_gini, kernels.best_split_gini,
+                   lambda rng, n: rng.integers(0, 2, n).astype(np.float64),
+                   INF, seed=3)
+
+    def test_sse(self):
+        def gradients(rng, n):
+            return rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, size=n)
+        self.check(kernels.count_split_sse, kernels.best_split_sse,
+                   gradients, -INF, seed=4)
 
 
 class TestEdgeCases:
