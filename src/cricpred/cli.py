@@ -1,8 +1,17 @@
 """Command-line entry point: ingest, fit-points, team-weights,
 select-features, train, cv, predict, report.
 
-Exit codes: 0 success, 2 ingestion/validation errors, 3 training/model
-errors, 4 prediction-input errors.
+Exit codes: 0 success; 2 argparse usage errors, files that cannot be read
+or written (``OSError``) and the ingestion and validation errors; 3
+``errors.ModelError`` (training and model documents); 4
+``errors.PredictionInputError``. Each error family carries its code, and
+``main`` is the only place that maps it: one ``error: ...`` line on stderr
+(argparse prints its usage line first), never a traceback.
+
+``--config FILE`` holds ``key = value`` lines with keys from
+``CONFIG_KEYS``. They become ``--key=value`` flags placed before the
+command line's own, so flags win and file values are validated like flags;
+a key the subcommand does not take is an argparse usage error.
 """
 
 from __future__ import annotations
@@ -10,7 +19,6 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import errors
@@ -21,81 +29,39 @@ from .models import base as model_base
 from .scoring import REFERENCE_POINTS_MODEL, fit_points_model
 from .strength import PER_MATCH, PER_SEASON, build_ledger
 
-EXIT_VALIDATION = 2
-EXIT_TRAINING = 3
-EXIT_PREDICTION = 4
-
-DEFAULT_SEED = 0
+# The keys a config file may set; the inputs of one prediction are flags only.
+CONFIG_KEYS = {"matches", "players", "model", "out_dir", "mode", "kind", "k",
+               "seed", "holdout_season", "target_count", "resamples"}
 
 
-class CliError(Exception):
-    def __init__(self, message, code):
-        super().__init__(message)
-        self.code = code
-
-
-@dataclass
-class RunConfig:
-    matches: str | None = None
-    players: str | None = None
-    model: str | None = None
-    out_dir: str = "."
-    mode: str = PER_SEASON
-    kind: str = "mlp"
-    k: int = 10
-    seed: int = DEFAULT_SEED
-    holdout_season: int | None = None
-    target_count: int | None = None
-    resamples: int = 5
-
-
-_INT_KEYS = {"k", "seed", "holdout_season", "target_count", "resamples"}
-
-
-def _read_config_file(path):
-    values = {}
+def _with_config(argv):
+    """``argv`` with the ``--config`` file's lines inserted after the
+    subcommand as ``--key=value`` flags."""
+    pre = argparse.ArgumentParser(prog="cricpred", add_help=False,
+                                  allow_abbrev=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
+        return argv
+    flags = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            if "=" not in line:
-                raise CliError(f"{path} line {lineno}: expected key = value",
-                               EXIT_VALIDATION)
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
-    return values
+            key, sep, value = (part.strip() for part in line.partition("="))
+            if not sep:
+                raise errors.IngestionError(
+                    f"{path} line {lineno}: expected key = value")
+            if key not in CONFIG_KEYS:
+                raise errors.IngestionError(
+                    f"{path} line {lineno}: unknown config key {key!r}")
+            flags.append(f"--{key.replace('_', '-')}={value}")
+    return argv[:1] + flags + argv[1:]
 
 
-def _build_config(args) -> RunConfig:
-    config = RunConfig()
-    if getattr(args, "config", None):
-        for key, value in _read_config_file(args.config).items():
-            if not hasattr(config, key):
-                raise CliError(f"unknown config key {key!r}", EXIT_VALIDATION)
-            setattr(config, key, int(value) if key in _INT_KEYS else value)
-    for key in vars(config):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            setattr(config, key, flag)
-    Path(config.out_dir).mkdir(parents=True, exist_ok=True)
-    return config
-
-
-def _load_inputs(config, need_players=True):
-    if not config.matches:
-        raise CliError("a matches CSV is required (--matches)", EXIT_VALIDATION)
-    try:
-        dataset = load_matches(config.matches)
-        players = []
-        if need_players:
-            if not config.players:
-                raise CliError("a players CSV is required (--players)",
-                               EXIT_VALIDATION)
-            players = load_player_performances(config.players)
-    except errors.IngestionError as exc:
-        raise CliError(str(exc), EXIT_VALIDATION) from None
-    return dataset, players
+def _load_inputs(args):
+    return load_matches(args.matches), load_player_performances(args.players)
 
 
 def _points_model(players):
@@ -118,28 +84,25 @@ def _write_csv(path, header, rows):
 
 # --- subcommands -----------------------------------------------------------
 
-def cmd_ingest(config):
-    dataset, players = _load_inputs(config)
+def cmd_ingest(args):
+    dataset, players = _load_inputs(args)
     excluded = sum(1 for m in dataset.matches if not m.has_result)
     print(f"{len(dataset.matches)} matches loaded, {excluded} excluded (no result)")
     print(f"{len(players)} player-season rows loaded")
     print(f"{len(dataset.venues)} venues, seasons {dataset.seasons()}")
     if not players:
-        raise CliError(
-            "InsufficientData: players file has no rows; downstream fitting "
-            "and team weights will fail", EXIT_VALIDATION)
+        raise errors.InsufficientData(
+            "players file has no rows; downstream fitting and team weights "
+            "will fail")
     return 0
 
 
-def cmd_fit_points(config):
-    _, players = _load_inputs(config)
-    try:
-        model = fit_points_model(players)
-    except (errors.InsufficientData, errors.RankDeficient) as exc:
-        raise CliError(str(exc), EXIT_VALIDATION) from None
+def cmd_fit_points(args):
+    _, players = _load_inputs(args)
+    model = fit_points_model(players)
     for key, value in model.to_dict().items():
         print(f"{key} = {value:.10g}")
-    out = Path(config.out_dir) / "points_model.json"
+    out = Path(args.out_dir) / "points_model.json"
     model_base.save_document(
         {"format_version": model_base.FORMAT_VERSION, "points_model": model.to_dict()},
         out)
@@ -147,15 +110,12 @@ def cmd_fit_points(config):
     return 0
 
 
-def cmd_team_weights(config):
-    dataset, players = _load_inputs(config)
+def cmd_team_weights(args):
+    dataset, players = _load_inputs(args)
     points, origin = _points_model(players)
-    try:
-        ledger = build_ledger(points, players, dataset, mode=config.mode)
-    except errors.CricpredError as exc:
-        raise CliError(str(exc), EXIT_VALIDATION) from None
+    ledger = build_ledger(points, players, dataset, mode=args.mode)
     rows = [(t, s, a, repr(w)) for t, s, a, w in ledger.rows()]
-    out = Path(config.out_dir) / "team_weights.csv"
+    out = Path(args.out_dir) / "team_weights.csv"
     _write_csv(out, ["team", "season", "as_of", "weight"], rows)
     for row in rows:
         print(",".join(str(v) for v in row))
@@ -163,33 +123,19 @@ def cmd_team_weights(config):
     return 0
 
 
-def _encoded_dataset(config, dataset, players, seasons=None):
+def _encoded_dataset(args, dataset, players):
     points, origin = _points_model(players)
-    if seasons is not None:
-        from .dataset import MatchDataset
-        kept = tuple(m for m in dataset.matches if m.season in seasons)
-        filtered = MatchDataset(matches=kept, registry=dataset.registry,
-                                venues=tuple(sorted({m.venue for m in kept})))
-    else:
-        filtered = dataset
-    try:
-        ledger = build_ledger(points, players, filtered, mode=config.mode)
-        schema = build_schema(filtered)
-        encoded = encode(filtered, ledger, schema)
-    except errors.CricpredError as exc:
-        raise CliError(str(exc), EXIT_VALIDATION) from None
+    ledger = build_ledger(points, players, dataset, mode=args.mode)
+    encoded = encode(dataset, ledger, build_schema(dataset))
     return encoded, points, ledger, origin
 
 
-def cmd_select_features(config):
-    dataset, players = _load_inputs(config)
-    encoded, *_ = _encoded_dataset(config, dataset, players)
-    target = config.target_count or len(encoded.schema.feature_names())
-    try:
-        result = rfe_select(encoded, target, resamples=config.resamples,
-                            seed=config.seed)
-    except errors.CricpredError as exc:
-        raise CliError(str(exc), EXIT_VALIDATION) from None
+def cmd_select_features(args):
+    encoded, *_ = _encoded_dataset(args, *_load_inputs(args))
+    target = args.target_count
+    if target is None:
+        target = len(encoded.schema.feature_names())
+    result = rfe_select(encoded, target, resamples=args.resamples, seed=args.seed)
     scores = dict((size, acc) for size, acc in result.per_subset_scores)
     print(f"{'rank':>4}  {'feature':<18}  {'cv_acc_at_subset':>16}")
     rows = []
@@ -202,7 +148,7 @@ def cmd_select_features(config):
     print(f"selected: {', '.join(result.selected)}")
     print(f"stability: {result.stability_agreement:.0%} agreement over "
           f"{result.stability_runs} resamples")
-    out = Path(config.out_dir) / "feature_ranking.csv"
+    out = Path(args.out_dir) / "feature_ranking.csv"
     _write_csv(out, ["rank", "feature", "selected", "cv_accuracy"], rows)
     print(f"wrote {out}", file=sys.stderr)
     return 0
@@ -214,49 +160,39 @@ def _training_seasons(dataset, holdout_season):
         return set(seasons)
     training = {s for s in seasons if s < holdout_season}
     if not training:
-        raise CliError(
+        raise errors.ModelError(
             f"holdout season {holdout_season} overlaps the entire training "
-            f"range (seasons {seasons})", EXIT_TRAINING)
+            f"range (seasons {seasons})")
     return training
 
 
-def cmd_train(config):
-    dataset, players = _load_inputs(config)
-    training = _training_seasons(dataset, config.holdout_season)
-    encoded, points, ledger, origin = _encoded_dataset(
-        config, dataset, players, seasons=training)
-    if config.target_count:
-        result = rfe_select(encoded, config.target_count,
-                            resamples=config.resamples, seed=config.seed)
+def cmd_train(args):
+    dataset, players = _load_inputs(args)
+    training = dataset.restrict(_training_seasons(dataset, args.holdout_season))
+    encoded, points, ledger, origin = _encoded_dataset(args, training, players)
+    if args.target_count is not None:
+        result = rfe_select(encoded, args.target_count,
+                            resamples=args.resamples, seed=args.seed)
         encoded = encoded.subset(result.selected)
         print(f"RFE selected: {', '.join(result.selected)}")
-    kinds = model_base.KINDS if config.kind == "all" else [config.kind]
-    written = []
+    kinds = model_base.KINDS if args.kind == "all" else [args.kind]
     for kind in kinds:
-        spec = model_base.make_spec(kind, seed=config.seed)
-        try:
-            model = model_base.train(spec, encoded)
-        except errors.CricpredError as exc:
-            raise CliError(f"training {kind} failed: {exc}", EXIT_TRAINING) from None
+        spec = model_base.make_spec(kind, seed=args.seed)
+        model = model_base.train(spec, encoded)
         doc = model_base.serialize(model, points_model=points, ledger=ledger)
-        path = Path(config.out_dir) / f"model_{kind}.json"
+        path = Path(args.out_dir) / f"model_{kind}.json"
         model_base.save_document(doc, path)
-        written.append(path)
         print(f"wrote {path} ({model.training_rows} training rows, "
               f"points model: {origin})")
     return 0
 
 
-def cmd_cv(config):
-    dataset, players = _load_inputs(config)
-    encoded, *_ = _encoded_dataset(config, dataset, players)
-    spec = model_base.make_spec(config.kind, seed=config.seed)
-    try:
-        report = cross_validate(spec, encoded, config.k, config.seed)
-    except errors.CricpredError as exc:
-        raise CliError(str(exc), EXIT_TRAINING) from None
-    _print_report(report, f"{config.k}-fold stratified CV, {config.kind}")
-    out = Path(config.out_dir) / f"cv_report_{config.kind}.csv"
+def cmd_cv(args):
+    encoded, *_ = _encoded_dataset(args, *_load_inputs(args))
+    spec = model_base.make_spec(args.kind, seed=args.seed)
+    report = cross_validate(spec, encoded, args.k, args.seed)
+    _print_report(report, f"{args.k}-fold stratified CV, {args.kind}")
+    out = Path(args.out_dir) / f"cv_report_{args.kind}.csv"
     _write_report_csv(report, out)
     print(f"wrote {out}", file=sys.stderr)
     return 0
@@ -265,31 +201,28 @@ def cmd_cv(config):
 def _latest_weight(ledger, team):
     candidates = [(s, a, w) for t, s, a, w in ledger.rows() if t == team]
     if not candidates:
-        raise CliError(f"team {team} is absent from the model's weight ledger "
-                       "and no cold-start data exists", EXIT_PREDICTION)
+        raise errors.PredictionInputError(
+            f"team {team} is absent from the model's weight ledger and no "
+            "cold-start data exists")
     return candidates[-1][2]
 
 
-def cmd_predict(config, home, away, venue, toss_winner, toss_decision):
-    if not config.model:
-        raise CliError("a model document is required (--model)", EXIT_PREDICTION)
-    try:
-        document = model_base.load_document(config.model)
-    except errors.CricpredError as exc:
-        raise CliError(str(exc), EXIT_TRAINING) from None
+def cmd_predict(args):
+    document = model_base.load_document(args.model)
+    home, away, toss_winner = args.home, args.away, args.toss_winner
     if home == away:
-        raise CliError("home and away teams must differ", EXIT_PREDICTION)
+        raise errors.PredictionInputError("home and away teams must differ")
     if toss_winner not in (home, away):
-        raise CliError(f"toss_winner {toss_winner} is not one of the two teams",
-                       EXIT_PREDICTION)
+        raise errors.PredictionInputError(
+            f"toss_winner {toss_winner} is not one of the two teams")
     if document.ledger is None:
-        raise CliError("model document carries no team weights", EXIT_PREDICTION)
+        raise errors.PredictionInputError("model document carries no team weights")
     w1 = _latest_weight(document.ledger, home)
     w2 = _latest_weight(document.ledger, away)
     row = encode_values(
         document.model.schema,
         {"home_team": home, "away_team": away, "toss_winner": toss_winner,
-         "toss_decision": toss_decision, "venue": venue},
+         "toss_decision": args.toss_decision, "venue": args.venue},
         {"home_team_weight": w1, "away_team_weight": w2})
     p_home = document.model.predict_proba(row)
     winner = home if p_home >= 0.5 else away
@@ -299,37 +232,21 @@ def cmd_predict(config, home, away, venue, toss_winner, toss_decision):
     return 0
 
 
-def cmd_report(config):
-    if not config.model:
-        raise CliError("a model document is required (--model)", EXIT_VALIDATION)
-    if config.holdout_season is None:
-        raise CliError("--holdout-season is required for report", EXIT_VALIDATION)
-    try:
-        document = model_base.load_document(config.model)
-    except errors.CricpredError as exc:
-        raise CliError(str(exc), EXIT_TRAINING) from None
-    dataset, players = _load_inputs(config)
+def cmd_report(args):
+    document = model_base.load_document(args.model)
+    dataset, players = _load_inputs(args)
     points = document.points_model or REFERENCE_POINTS_MODEL
-    mode = document.ledger.mode if document.ledger else config.mode
-    try:
-        ledger = build_ledger(points, players, dataset, mode=mode)
-    except errors.CricpredError as exc:
-        raise CliError(str(exc), EXIT_VALIDATION) from None
-    from .dataset import MatchDataset
-    kept = tuple(m for m in dataset.matches if m.season == config.holdout_season)
-    if not kept:
-        raise CliError(f"no matches in holdout season {config.holdout_season}",
-                       EXIT_VALIDATION)
-    holdout = MatchDataset(matches=kept, registry=dataset.registry,
-                           venues=tuple(sorted({m.venue for m in kept})))
+    mode = document.ledger.mode if document.ledger else PER_SEASON
+    ledger = build_ledger(points, players, dataset, mode=mode)
+    holdout = dataset.restrict({args.holdout_season})
+    if not holdout.matches:
+        raise errors.EmptyDataset(
+            f"no matches in holdout season {args.holdout_season}")
     encoded = encode(holdout, ledger, document.model.schema)
-    try:
-        report, rows = evaluate_holdout(document.model, encoded)
-    except errors.SchemaMismatch as exc:
-        raise CliError(str(exc), EXIT_TRAINING) from None
-    _print_report(report, f"holdout season {config.holdout_season}, "
+    report, rows = evaluate_holdout(document.model, encoded)
+    _print_report(report, f"holdout season {args.holdout_season}, "
                           f"{document.model.spec.kind}")
-    out_dir = Path(config.out_dir)
+    out_dir = Path(args.out_dir)
     _write_report_csv(report, out_dir / "holdout_report.csv")
     _write_csv(out_dir / "holdout_predictions.csv",
                ["match_id", "probability", "predicted", "actual"],
@@ -378,10 +295,14 @@ def _write_report_csv(report, path):
     _write_csv(path, ["metric", "value"], rows)
 
 
-def _add_common(parser):
-    parser.add_argument("--config", help="key = value config file")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--out-dir", dest="out_dir", default=None)
+def _at_least(minimum):
+    """An argparse ``type``: an integer no smaller than ``minimum``."""
+    def integer(text):
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"{value} is below {minimum}")
+        return value
+    return integer
 
 
 def build_parser():
@@ -390,91 +311,68 @@ def build_parser():
         description="Twenty20 league match-outcome prediction pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        _add_common(p)
+    def add(name, func, summary, inputs=True, mode=False, rfe=False):
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        p.set_defaults(func=func)
+        p.add_argument("--config", help="key = value file; flags override it")
+        p.add_argument("--seed", type=_at_least(0), default=0)
+        p.add_argument("--out-dir", default=".")
+        if inputs:
+            p.add_argument("--matches", required=True)
+            p.add_argument("--players", required=True)
+        if mode:
+            p.add_argument("--mode", choices=[PER_SEASON, PER_MATCH],
+                           default=PER_SEASON)
+        if rfe:
+            p.add_argument("--target-count", type=_at_least(1),
+                           help="features to keep (default: rank them all; "
+                                "train: run RFE first when given)")
+            p.add_argument("--resamples", type=_at_least(0), default=5)
         return p
 
-    p = add("ingest", help="validate the matches and players CSVs")
-    p.add_argument("--matches")
-    p.add_argument("--players")
+    add("ingest", cmd_ingest, "validate the matches and players CSVs")
+    add("fit-points", cmd_fit_points, "fit the player-points regression")
+    add("team-weights", cmd_team_weights, "emit per-team strength weights as CSV",
+        mode=True)
+    add("select-features", cmd_select_features,
+        "rank features by recursive elimination", mode=True, rfe=True)
 
-    p = add("fit-points", help="fit the player-points regression")
-    p.add_argument("--matches")
-    p.add_argument("--players")
+    p = add("train", cmd_train, "train classifier(s) and write model documents",
+            mode=True, rfe=True)
+    p.add_argument("--kind", choices=model_base.KINDS + ["all"], default="mlp")
+    p.add_argument("--holdout-season", type=int)
 
-    p = add("team-weights", help="emit per-team strength weights as CSV")
-    p.add_argument("--matches")
-    p.add_argument("--players")
-    p.add_argument("--mode", choices=[PER_SEASON, PER_MATCH], default=None)
+    p = add("cv", cmd_cv, "stratified k-fold cross-validation", mode=True)
+    p.add_argument("--kind", choices=model_base.KINDS, default="mlp")
+    p.add_argument("--k", type=int, default=10)
 
-    p = add("select-features", help="rank features by recursive elimination")
-    p.add_argument("--matches")
-    p.add_argument("--players")
-    p.add_argument("--mode", choices=[PER_SEASON, PER_MATCH], default=None)
-    p.add_argument("--target-count", dest="target_count", type=int, default=None)
-    p.add_argument("--resamples", type=int, default=None)
-
-    p = add("train", help="train classifier(s) and write model documents")
-    p.add_argument("--matches")
-    p.add_argument("--players")
-    p.add_argument("--mode", choices=[PER_SEASON, PER_MATCH], default=None)
-    p.add_argument("--kind", choices=model_base.KINDS + ["all"], default=None)
-    p.add_argument("--holdout-season", dest="holdout_season", type=int, default=None)
-    p.add_argument("--target-count", dest="target_count", type=int, default=None,
-                   help="run RFE first and train on the selected features")
-    p.add_argument("--resamples", type=int, default=None)
-
-    p = add("cv", help="stratified k-fold cross-validation")
-    p.add_argument("--matches")
-    p.add_argument("--players")
-    p.add_argument("--mode", choices=[PER_SEASON, PER_MATCH], default=None)
-    p.add_argument("--kind", choices=model_base.KINDS, default=None)
-    p.add_argument("--k", type=int, default=None)
-
-    p = add("predict", help="predict one match from post-toss inputs")
-    p.add_argument("--model")
+    p = add("predict", cmd_predict, "predict one match from post-toss inputs",
+            inputs=False)
+    p.add_argument("--model", required=True)
     p.add_argument("--home", required=True)
     p.add_argument("--away", required=True)
     p.add_argument("--venue", required=True)
-    p.add_argument("--toss-winner", dest="toss_winner", required=True)
-    p.add_argument("--toss-decision", dest="toss_decision", required=True,
-                   choices=["bat", "field"])
+    p.add_argument("--toss-winner", required=True)
+    p.add_argument("--toss-decision", required=True, choices=["bat", "field"])
 
-    p = add("report", help="evaluate a model on a holdout season")
-    p.add_argument("--model")
-    p.add_argument("--matches")
-    p.add_argument("--players")
-    p.add_argument("--holdout-season", dest="holdout_season", type=int, default=None)
+    p = add("report", cmd_report, "evaluate a model on a holdout season")
+    p.add_argument("--model", required=True)
+    p.add_argument("--holdout-season", type=int, required=True)
 
     return parser
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        config = _build_config(args)
-        if args.command == "ingest":
-            return cmd_ingest(config)
-        if args.command == "fit-points":
-            return cmd_fit_points(config)
-        if args.command == "team-weights":
-            return cmd_team_weights(config)
-        if args.command == "select-features":
-            return cmd_select_features(config)
-        if args.command == "train":
-            return cmd_train(config)
-        if args.command == "cv":
-            return cmd_cv(config)
-        if args.command == "predict":
-            return cmd_predict(config, args.home, args.away, args.venue,
-                               args.toss_winner, args.toss_decision)
-        if args.command == "report":
-            return cmd_report(config)
-        raise AssertionError(args.command)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        args = build_parser().parse_args(_with_config(argv))
+        Path(args.out_dir).mkdir(parents=True, exist_ok=True)
+        return args.func(args)
+    except SystemExit as exc:  # argparse: 2 for a usage error, 0 for --help
         return exc.code
+    except (errors.CricpredError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return getattr(exc, "exit_code", 2)  # OSError: 2
 
 
 if __name__ == "__main__":

@@ -147,6 +147,13 @@ class MatchDataset:
     def seasons(self):
         return sorted({m.season for m in self.matches})
 
+    def restrict(self, seasons):
+        """The matches of the given seasons, with the same registry and the
+        venues of the kept matches."""
+        kept = tuple(m for m in self.matches if m.season in seasons)
+        return MatchDataset(matches=kept, registry=self.registry,
+                            venues=tuple(sorted({m.venue for m in kept})))
+
 
 def label_of(match: MatchRecord) -> int:
     """1 when the home team won, 0 when the away team won.

@@ -1,8 +1,28 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+Every error carries ``exit_code``, the status the command line exits with
+when the error reaches it: 2 for malformed inputs and data the pipeline
+cannot use (the default), 3 for the ``ModelError`` family (training and
+model documents), 4 for the ``PredictionInputError`` family.
+"""
 
 
 class CricpredError(Exception):
     """Base class for all package errors."""
+
+    exit_code = 2
+
+
+class ModelError(CricpredError):
+    """Training failed, or a model document cannot be used."""
+
+    exit_code = 3
+
+
+class PredictionInputError(CricpredError):
+    """The teams, toss or model of one prediction do not fit together."""
+
+    exit_code = 4
 
 
 # --- ingestion -------------------------------------------------------------
@@ -79,35 +99,35 @@ class TargetTooLarge(CricpredError):
 
 # --- classifiers -----------------------------------------------------------
 
-class SingleClassData(CricpredError):
+class SingleClassData(ModelError):
     pass
 
 
-class InvalidHyperparameter(CricpredError):
+class InvalidHyperparameter(ModelError):
     pass
 
 
-class NonConvergence(CricpredError):
+class NonConvergence(ModelError):
     pass
 
 
-class SchemaMismatch(CricpredError):
+class SchemaMismatch(ModelError):
     pass
 
 
-class VersionMismatch(CricpredError):
+class VersionMismatch(ModelError):
     pass
 
 
-class CorruptDocument(CricpredError):
+class CorruptDocument(ModelError):
     pass
 
 
 # --- evaluation ------------------------------------------------------------
 
-class TooFewPerClass(CricpredError):
+class TooFewPerClass(ModelError):
     pass
 
 
-class BadK(CricpredError):
+class BadK(ModelError):
     pass

@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -22,9 +23,6 @@ from . import ensemble, linear, mlp, naive_bayes
 
 FORMAT_VERSION = 1
 LABEL_CONVENTION = "1=home_team_win"
-
-KINDS = ["naive_bayes", "gradient_boosting", "linear_svm",
-         "logistic_regression", "random_forest", "mlp"]
 
 # (default, validator) per hyperparameter
 _POSITIVE = lambda v: v > 0  # noqa: E731
@@ -105,14 +103,41 @@ def make_spec(kind: str, seed: int = 0, **hyperparameters) -> ClassifierSpec:
     return spec
 
 
-_PREDICTORS = {
-    "naive_bayes": naive_bayes.predict_naive_bayes,
-    "gradient_boosting": ensemble.predict_gradient_boosting,
-    "linear_svm": linear.predict_linear_svm,
-    "logistic_regression": linear.predict_logistic,
-    "random_forest": ensemble.predict_random_forest,
-    "mlp": mlp.predict_mlp,
+class Classifier(NamedTuple):
+    train: Callable      # (X, y, hyperparameters, seed, schema) -> parameters
+    predict: Callable    # (parameters, X) -> P(class 1) per row
+    parameter_keys: tuple  # the keys of ``parameters`` that ``predict`` reads
+
+
+def _without_schema(trainer):
+    return lambda X, y, hp, seed, schema: trainer(X, y, hp, seed)
+
+
+def _train_naive_bayes(X, y, hp, seed, schema):
+    return naive_bayes.train_naive_bayes(X, y, hp, seed, schema.binary_mask())
+
+
+# In the order ``--kind all`` trains them.
+CLASSIFIERS = {
+    "naive_bayes": Classifier(
+        _train_naive_bayes, naive_bayes.predict_naive_bayes,
+        ("binary_mask", "class_0", "class_1")),
+    "gradient_boosting": Classifier(
+        _without_schema(ensemble.train_gradient_boosting),
+        ensemble.predict_gradient_boosting, ("base_score", "shrinkage", "trees")),
+    "linear_svm": Classifier(
+        _without_schema(linear.train_linear_svm), linear.predict_linear_svm,
+        ("weights", "bias", "platt_a", "platt_b")),
+    "logistic_regression": Classifier(
+        _without_schema(linear.train_logistic), linear.predict_logistic,
+        ("weights", "bias")),
+    "random_forest": Classifier(
+        _without_schema(ensemble.train_random_forest),
+        ensemble.predict_random_forest, ("trees",)),
+    "mlp": Classifier(
+        _without_schema(mlp.train_mlp), mlp.predict_mlp, ("layers",)),
 }
+KINDS = list(CLASSIFIERS)
 
 
 @dataclass(frozen=True)
@@ -132,7 +157,7 @@ class TrainedClassifier:
             raise SchemaMismatch(
                 f"row has {X.shape[1]} columns, model expects "
                 f"{self.schema.total_columns}")
-        return _PREDICTORS[self.spec.kind](self.parameters, X)
+        return CLASSIFIERS[self.spec.kind].predict(self.parameters, X)
 
     def predict_proba(self, row) -> float:
         return float(self.predict_proba_matrix(np.atleast_2d(row))[0])
@@ -151,19 +176,7 @@ def train(spec: ClassifierSpec, data) -> TrainedClassifier:
     if y.size == 0 or len(np.unique(y)) < 2:
         raise SingleClassData("training data must contain both classes")
     X = np.asarray(data.X, dtype=np.float64)
-    if spec.kind == "naive_bayes":
-        params = naive_bayes.train_naive_bayes(
-            X, y, hp, spec.seed, data.schema.binary_mask())
-    elif spec.kind == "gradient_boosting":
-        params = ensemble.train_gradient_boosting(X, y, hp, spec.seed)
-    elif spec.kind == "linear_svm":
-        params = linear.train_linear_svm(X, y, hp, spec.seed)
-    elif spec.kind == "logistic_regression":
-        params = linear.train_logistic(X, y, hp, spec.seed)
-    elif spec.kind == "random_forest":
-        params = ensemble.train_random_forest(X, y, hp, spec.seed)
-    else:
-        params = mlp.train_mlp(X, y, hp, spec.seed)
+    params = CLASSIFIERS[spec.kind].train(X, y, hp, spec.seed, data.schema)
     return TrainedClassifier(spec=spec, parameters=params,
                              schema=data.schema, training_rows=int(y.size))
 
@@ -221,8 +234,13 @@ def deserialize(doc: dict) -> ModelDocument:
                   if doc.get("points_model") else None)
         ledger = (TeamWeightLedger.from_dict(doc["team_weights"])
                   if doc.get("team_weights") else None)
+        missing = [key for key in CLASSIFIERS[spec.kind].parameter_keys
+                   if key not in model.parameters]
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptDocument(f"malformed model document: {exc}") from None
+    if missing:
+        raise CorruptDocument(
+            f"{spec.kind} model document parameters lack {', '.join(missing)}")
     return ModelDocument(model=model, points_model=points, ledger=ledger)
 
 
@@ -240,6 +258,6 @@ def load_document(path) -> ModelDocument:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8
         raise CorruptDocument(f"{path}: not valid JSON ({exc})") from None
     return deserialize(doc)

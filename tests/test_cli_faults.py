@@ -1,0 +1,201 @@
+"""Fault injection: each row breaks one input of one subcommand and pins the
+exit code of its error family. No row may end in a traceback, and every
+error that is not an argparse usage error is one ``error: ...`` line."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from cricpred import errors
+from cricpred.cli import main
+
+from conftest import fixture_path
+
+MATCHES = fixture_path("matches.csv")
+PLAYERS = fixture_path("players.csv")
+DATA = ["--matches", MATCHES, "--players", PLAYERS]
+TOSS = ["--venue", "Dr DY Patil Sports Academy", "--toss-decision", "bat"]
+
+
+def predict(model, home="CSK", away="RR", toss_winner="CSK"):
+    return ["predict", "--model", model, "--home", home, "--away", away,
+            "--toss-winner", toss_winner, *TOSS]
+
+
+def write(tmp, name, text):
+    path = tmp / name
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def config(tmp, text):
+    return write(tmp, "run.cfg", f"matches = {MATCHES}\nplayers = {PLAYERS}\n" + text)
+
+
+def edited(tmp, model, edit):
+    doc = json.loads(Path(model).read_text())
+    edit(doc)
+    return write(tmp, "edited.json", json.dumps(doc))
+
+
+def truncated(tmp, model):
+    blob = Path(model).read_text()
+    return write(tmp, "truncated.json", blob[: len(blob) // 3])
+
+
+def binary(tmp):
+    path = tmp / "binary.json"
+    path.write_bytes(b"\xff\xfe\x00")
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def model(tmp_path_factory):
+    out = tmp_path_factory.mktemp("model")
+    assert main(["train", *DATA, "--kind", "logistic_regression",
+                 "--out-dir", str(out)]) == 0
+    return str(out / "model_logistic_regression.json")
+
+
+# (id, expected exit code, argparse usage error?, argv from (tmp_path, model))
+FAULTS = [
+    # missing or unreadable files: OSError -> 2
+    ("ingest-missing-matches", 2, False,
+     lambda t, m: ["ingest", "--matches", str(t / "none.csv"), "--players", PLAYERS]),
+    ("train-missing-players", 2, False,
+     lambda t, m: ["train", "--matches", MATCHES, "--players", str(t / "none.csv")]),
+    ("train-missing-config", 2, False,
+     lambda t, m: ["train", *DATA, "--config", str(t / "none.cfg")]),
+    ("predict-missing-model", 2, False, lambda t, m: predict(str(t / "none.json"))),
+    ("report-missing-model", 2, False,
+     lambda t, m: ["report", *DATA, "--model", str(t / "none.json"),
+                   "--holdout-season", "2017"]),
+    ("predict-model-is-directory", 2, False, lambda t, m: predict(str(t))),
+    ("train-out-dir-under-a-file", 2, False,
+     lambda t, m: ["train", *DATA, "--kind", "naive_bayes",
+                   "--out-dir", str(Path(write(t, "file", "")) / "out")]),
+    # malformed inputs: IngestionError and validation errors -> 2
+    ("ingest-malformed-header", 2, False,
+     lambda t, m: ["ingest", "--matches", write(t, "m.csv", "match_id,season\n"),
+                   "--players", PLAYERS]),
+    ("fit-points-no-player-rows", 2, False,
+     lambda t, m: ["fit-points", "--matches", MATCHES, "--players",
+                   write(t, "p.csv", Path(PLAYERS).read_text().splitlines()[0])]),
+    ("train-target-count-99", 2, False,
+     lambda t, m: ["train", *DATA, "--target-count", "99", "--out-dir", str(t)]),
+    ("report-season-without-matches", 2, False,
+     lambda t, m: ["report", *DATA, "--model", m, "--holdout-season", "2019",
+                   "--out-dir", str(t)]),
+    # config files: parsed as flags, so argparse validates them -> 2
+    ("cv-config-k-ten", 2, True,
+     lambda t, m: ["cv", "--config", config(t, "k = ten\n"), "--out-dir", str(t)]),
+    ("train-config-seed-x", 2, True,
+     lambda t, m: ["train", "--config", config(t, "seed = x\n"), "--out-dir", str(t)]),
+    ("team-weights-config-mode-weekly", 2, True,
+     lambda t, m: ["team-weights", "--config", config(t, "mode = weekly\n")]),
+    ("train-config-kind-bogus", 2, True,
+     lambda t, m: ["train", "--config", config(t, "kind = bogus\n")]),
+    ("train-config-unknown-key", 2, False,
+     lambda t, m: ["train", "--config", config(t, "colour = red\n")]),
+    ("train-config-line-without-equals", 2, False,
+     lambda t, m: ["train", "--config", config(t, "kind mlp\n")]),
+    ("train-config-key-it-does-not-take", 2, True,
+     lambda t, m: ["train", "--config", config(t, "k = 5\n"), "--out-dir", str(t)]),
+    ("report-config-key-it-does-not-take", 2, True,
+     lambda t, m: ["report", "--config", config(t, "mode = per_match\n"),
+                   "--model", m, "--holdout-season", "2017", "--out-dir", str(t)]),
+    # flag values -> 2
+    ("select-features-target-count-0", 2, True,
+     lambda t, m: ["select-features", *DATA, "--target-count", "0", "--out-dir", str(t)]),
+    ("train-target-count-0", 2, True,
+     lambda t, m: ["train", *DATA, "--target-count", "0", "--out-dir", str(t)]),
+    ("cv-negative-seed", 2, True,
+     lambda t, m: ["cv", *DATA, "--kind", "naive_bayes", "--seed", "-1"]),
+    ("predict-without-model", 2, True,
+     lambda t, m: ["predict", "--home", "CSK", "--away", "RR",
+                   "--toss-winner", "CSK", *TOSS]),
+    # training and model documents: ModelError -> 3
+    ("train-holdout-covers-every-season", 3, False,
+     lambda t, m: ["train", *DATA, "--holdout-season", "2016", "--out-dir", str(t)]),
+    ("cv-k-1", 3, False,
+     lambda t, m: ["cv", *DATA, "--kind", "naive_bayes", "--k", "1", "--out-dir", str(t)]),
+    ("predict-truncated-document", 3, False, lambda t, m: predict(truncated(t, m))),
+    ("predict-binary-document", 3, False, lambda t, m: predict(binary(t))),
+    ("predict-format-version-0", 3, False,
+     lambda t, m: predict(edited(t, m, lambda d: d.update(format_version=0)))),
+    ("predict-emptied-parameters", 3, False,
+     lambda t, m: predict(edited(t, m, lambda d: d.update(parameters={})))),
+    ("report-emptied-parameters", 3, False,
+     lambda t, m: ["report", *DATA, "--holdout-season", "2017", "--out-dir", str(t),
+                   "--model", edited(t, m, lambda d: d.update(parameters={}))]),
+    ("predict-unknown-kind", 3, False,
+     lambda t, m: predict(edited(t, m, lambda d: d["spec"].update(kind="svm")))),
+    # the inputs of one prediction: PredictionInputError -> 4
+    ("predict-home-equals-away", 4, False, lambda t, m: predict(m, away="CSK")),
+    ("predict-toss-winner-not-playing", 4, False,
+     lambda t, m: predict(m, toss_winner="MI")),
+    ("predict-team-absent-from-ledger", 4, False,
+     lambda t, m: predict(m, home="SRH", toss_winner="SRH")),
+    ("predict-document-without-weights", 4, False,
+     lambda t, m: predict(edited(t, m, lambda d: d.update(team_weights=None)))),
+]
+
+
+@pytest.mark.parametrize("code, usage, argv", [f[1:] for f in FAULTS],
+                         ids=[f[0] for f in FAULTS])
+def test_fault_exit_code(capsys, tmp_path, model, code, usage, argv):
+    assert main(argv(tmp_path, model)) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if usage:
+        assert "error:" in err
+    else:
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
+FAMILY_CODES = {
+    2: ["IngestionError", "InsufficientData", "RankDeficient", "EmptyRoster",
+        "ZeroAppearances", "MissingRoster", "LedgerMiss", "EmptyDataset",
+        "TooFewRows", "TargetTooLarge"],
+    3: ["ModelError", "SingleClassData", "InvalidHyperparameter",
+        "NonConvergence", "SchemaMismatch", "VersionMismatch",
+        "CorruptDocument", "TooFewPerClass", "BadK"],
+    4: ["PredictionInputError"],
+}
+
+
+@pytest.mark.parametrize("code, name", [(c, n) for c, names in FAMILY_CODES.items()
+                                        for n in names])
+def test_error_family_exit_code(code, name):
+    assert getattr(errors, name).exit_code == code
+
+
+def test_config_errors_name_the_key(capsys, tmp_path):
+    assert main(["train", "--config", config(tmp_path, "colour = red\n")]) == 2
+    assert "'colour'" in capsys.readouterr().err
+    assert main(["train", "--config", config(tmp_path, "k = 5\n")]) == 2
+    assert "--k=5" in capsys.readouterr().err
+
+
+def test_flags_override_the_config_file(capsys, tmp_path):
+    cfg = config(tmp_path, f"kind = mlp\nout_dir = {tmp_path / 'cfg'}\n")
+    assert main(["train", "--config", cfg, "--kind", "naive_bayes",
+                 "--out-dir", str(tmp_path)]) == 0
+    assert [p.name for p in tmp_path.glob("model_*.json")] == ["model_naive_bayes.json"]
+    assert not (tmp_path / "cfg").exists()
+
+
+def test_console_script_exit_code_without_traceback(tmp_path):
+    """The installed entry point's path: ``sys.exit(main())`` in a fresh
+    interpreter."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "cricpred.cli", *predict(str(tmp_path / "none.json"))],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr

@@ -125,6 +125,23 @@ class TestLoadMatches:
             assert m.date.year in (m.season, m.season + 1)
 
 
+class TestRestrict:
+    def test_keeps_seasons_registry_and_their_venues(self, tmp_path):
+        path = write(tmp_path / "m.csv", MATCH_HEADER + "\n"
+                     "m1,2016,2016-04-07,CSK,RR,Old Ground,CSK,bat,CSK\n"
+                     "m2,2017,2017-04-07,RR,MI,Zeta Park,RR,field,MI\n"
+                     "m3,2017,2017-04-08,MI,CSK,Alpha Oval,MI,bat,\n"
+                     "m4,2018,2018-04-07,CSK,MI,Old Ground,MI,bat,CSK\n")
+        data = ds.load_matches(path)
+        only_2017 = data.restrict({2017})
+        assert [m.match_id for m in only_2017.matches] == ["m2", "m3"]
+        assert only_2017.venues == ("Alpha Oval", "Zeta Park")
+        assert only_2017.registry == data.registry
+        assert data.restrict({2016, 2017, 2018}) == data
+        empty = data.restrict({2019})
+        assert empty.matches == () and empty.venues == ()
+
+
 class TestLoadPlayers:
     def test_field_mapping(self, tmp_path):
         path = write(tmp_path / "p.csv", PLAYER_HEADER + "\n"
