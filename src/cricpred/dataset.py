@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 
 from .errors import (
     DuplicatePlayer,
+    IngestionError,
     InvalidRow,
     MissingColumn,
     NegativeStat,
@@ -165,10 +166,21 @@ def label_of(match: MatchRecord) -> int:
     return 1 if match.winner == match.home_team else 0
 
 
-def _require_columns(header, required, path):
-    missing = [c for c in required if c not in header]
-    if missing:
-        raise MissingColumn(f"{path}: header lacks column(s) {', '.join(missing)}")
+def _csv_rows(path, required):
+    """(row number, row dict) for each data row of a UTF-8 CSV whose header
+    has the required columns; the header is row 1."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None:
+                raise MissingColumn(f"{path}: empty file, no header")
+            missing = [c for c in required if c not in reader.fieldnames]
+            if missing:
+                raise MissingColumn(
+                    f"{path}: header lacks column(s) {', '.join(missing)}")
+            yield from enumerate(reader, start=2)
+    except UnicodeDecodeError as exc:
+        raise IngestionError(f"{path}: not UTF-8 text ({exc})") from None
 
 
 def _parse_int(value, column, rownum, path, minimum=None):
@@ -191,52 +203,47 @@ def load_matches(path, registry: TeamRegistry | None = None) -> MatchDataset:
         registry = default_registry()
     matches = []
     seen_ids = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise MissingColumn(f"{path}: empty file, no header")
-        _require_columns(reader.fieldnames, MATCH_COLUMNS, path)
-        for rownum, row in enumerate(reader, start=2):
-            match_id = row["match_id"].strip()
-            if match_id in seen_ids:
-                raise InvalidRow(
-                    f"{path} row {rownum}: duplicate match_id {match_id!r} "
-                    f"(first seen at row {seen_ids[match_id]})")
-            seen_ids[match_id] = rownum
-            season = _parse_int(row["season"], "season", rownum, path)
-            try:
-                date = dt.date.fromisoformat(row["date"].strip())
-            except ValueError:
-                raise InvalidRow(f"{path} row {rownum}: bad date {row['date']!r}") from None
-            home = row["home_team"].strip()
-            away = row["away_team"].strip()
-            toss_winner = row["toss_winner"].strip()
-            winner = row["winner"].strip()
-            for acr in (home, away, toss_winner) + ((winner,) if winner else ()):
-                if acr not in registry:
-                    raise UnknownTeam(f"{path} row {rownum}: unknown team acronym {acr!r}")
-            if home == away:
-                raise InvalidRow(f"{path} row {rownum}: home_team equals away_team ({home})")
-            if toss_winner not in (home, away):
-                raise InvalidRow(
-                    f"{path} row {rownum}: toss_winner {toss_winner} is not a participant")
-            if winner and winner not in (home, away):
-                raise InvalidRow(
-                    f"{path} row {rownum}: winner {winner} is not a participant")
-            toss_decision = row["toss_decision"].strip()
-            if toss_decision not in ("bat", "field"):
-                raise InvalidRow(
-                    f"{path} row {rownum}: toss_decision must be bat or field, "
-                    f"got {toss_decision!r}")
-            if date.year not in (season, season + 1):
-                raise InvalidRow(
-                    f"{path} row {rownum}: date {date} inconsistent with season {season}")
-            matches.append(MatchRecord(
-                match_id=match_id, season=season, date=date,
-                home_team=home, away_team=away,
-                venue=normalize_venue(row["venue"]),
-                toss_winner=toss_winner, toss_decision=toss_decision,
-                winner=winner))
+    for rownum, row in _csv_rows(path, MATCH_COLUMNS):
+        match_id = row["match_id"].strip()
+        if match_id in seen_ids:
+            raise InvalidRow(
+                f"{path} row {rownum}: duplicate match_id {match_id!r} "
+                f"(first seen at row {seen_ids[match_id]})")
+        seen_ids[match_id] = rownum
+        season = _parse_int(row["season"], "season", rownum, path)
+        try:
+            date = dt.date.fromisoformat(row["date"].strip())
+        except ValueError:
+            raise InvalidRow(f"{path} row {rownum}: bad date {row['date']!r}") from None
+        home = row["home_team"].strip()
+        away = row["away_team"].strip()
+        toss_winner = row["toss_winner"].strip()
+        winner = row["winner"].strip()
+        for acr in (home, away, toss_winner) + ((winner,) if winner else ()):
+            if acr not in registry:
+                raise UnknownTeam(f"{path} row {rownum}: unknown team acronym {acr!r}")
+        if home == away:
+            raise InvalidRow(f"{path} row {rownum}: home_team equals away_team ({home})")
+        if toss_winner not in (home, away):
+            raise InvalidRow(
+                f"{path} row {rownum}: toss_winner {toss_winner} is not a participant")
+        if winner and winner not in (home, away):
+            raise InvalidRow(
+                f"{path} row {rownum}: winner {winner} is not a participant")
+        toss_decision = row["toss_decision"].strip()
+        if toss_decision not in ("bat", "field"):
+            raise InvalidRow(
+                f"{path} row {rownum}: toss_decision must be bat or field, "
+                f"got {toss_decision!r}")
+        if date.year not in (season, season + 1):
+            raise InvalidRow(
+                f"{path} row {rownum}: date {date} inconsistent with season {season}")
+        matches.append(MatchRecord(
+            match_id=match_id, season=season, date=date,
+            home_team=home, away_team=away,
+            venue=normalize_venue(row["venue"]),
+            toss_winner=toss_winner, toss_decision=toss_decision,
+            winner=winner))
     matches.sort(key=lambda m: (m.date, m.match_id))
     venues = tuple(sorted({m.venue for m in matches}))
     return MatchDataset(matches=tuple(matches), registry=registry, venues=venues)
@@ -248,40 +255,35 @@ def load_player_performances(path, registry: TeamRegistry | None = None):
         registry = default_registry()
     rows = []
     seen = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise MissingColumn(f"{path}: empty file, no header")
-        _require_columns(reader.fieldnames, PLAYER_COLUMNS, path)
-        for rownum, row in enumerate(reader, start=2):
-            season = _parse_int(row["season"], "season", rownum, path)
-            team = row["team"].strip()
-            if team not in registry:
-                raise UnknownTeam(f"{path} row {rownum}: unknown team acronym {team!r}")
-            player = row["player"].strip()
-            key = (season, team, player)
-            if key in seen:
-                raise DuplicatePlayer(
-                    f"{path} row {rownum}: duplicate player {player!r} for "
-                    f"{team} {season} (first seen at row {seen[key]})")
-            seen[key] = rownum
-            appearances = _parse_int(row["appearances"], "appearances", rownum, path, minimum=0)
-            stats = {f: _parse_int(row[f], f, rownum, path, minimum=0) for f in STAT_FIELDS}
-            if appearances == 0 and any(stats.values()):
+    for rownum, row in _csv_rows(path, PLAYER_COLUMNS):
+        season = _parse_int(row["season"], "season", rownum, path)
+        team = row["team"].strip()
+        if team not in registry:
+            raise UnknownTeam(f"{path} row {rownum}: unknown team acronym {team!r}")
+        player = row["player"].strip()
+        key = (season, team, player)
+        if key in seen:
+            raise DuplicatePlayer(
+                f"{path} row {rownum}: duplicate player {player!r} for "
+                f"{team} {season} (first seen at row {seen[key]})")
+        seen[key] = rownum
+        appearances = _parse_int(row["appearances"], "appearances", rownum, path, minimum=0)
+        stats = {f: _parse_int(row[f], f, rownum, path, minimum=0) for f in STAT_FIELDS}
+        if appearances == 0 and any(stats.values()):
+            raise InvalidRow(
+                f"{path} row {rownum}: nonzero statistics with zero appearances")
+        points_raw = (row.get("official_points") or "").strip()
+        official = None
+        if points_raw:
+            try:
+                official = float(points_raw)
+            except ValueError:
                 raise InvalidRow(
-                    f"{path} row {rownum}: nonzero statistics with zero appearances")
-            points_raw = (row.get("official_points") or "").strip()
-            official = None
-            if points_raw:
-                try:
-                    official = float(points_raw)
-                except ValueError:
-                    raise InvalidRow(
-                        f"{path} row {rownum}: bad official_points {points_raw!r}") from None
-                if official < 0:
-                    raise NegativeStat(
-                        f"{path} row {rownum}: official_points={official} is negative")
-            rows.append(PlayerPerformance(
-                season=season, team=team, player=player,
-                appearances=appearances, official_points=official, **stats))
+                    f"{path} row {rownum}: bad official_points {points_raw!r}") from None
+            if official < 0:
+                raise NegativeStat(
+                    f"{path} row {rownum}: official_points={official} is negative")
+        rows.append(PlayerPerformance(
+            season=season, team=team, player=player,
+            appearances=appearances, official_points=official, **stats))
     return rows

@@ -42,9 +42,6 @@ DEFAULT_HYPERPARAMETERS = {
     },
     "logistic_regression": {
         "l2": (1e-4, _NONNEG),
-        "learning_rate": (0.1, _POSITIVE),
-        "max_iter": (2000, _COUNT),
-        "tol": (1e-8, _POSITIVE),
     },
     "random_forest": {
         "n_trees": (100, _COUNT),

@@ -17,46 +17,123 @@ def sigmoid(z):
     return out
 
 
+# A logistic fit has converged once the gradient norm of the mean loss is
+# at most GRADIENT_TOL and the Newton step moves no parameter by more than
+# STEP_TOL (relative to the largest parameter when that exceeds 1).
+GRADIENT_TOL = 1e-8
+STEP_TOL = 1e-6
+MAX_NEWTON_STEPS = 100
+_EPS = np.finfo(np.float64).eps
+
+
 def _bce_loss(z, y):
     # mean binary cross entropy from logits: softplus(z) - y*z
     return float(np.mean(np.logaddexp(0.0, z) - y * z))
 
 
-def fit_logistic(X, y, lam=1e-4, lr=0.1, max_iter=2000, tol=1e-8):
-    """Full-batch gradient descent on L2-regularized logistic loss.
+def _backtrack(objective, loss, slope, noise):
+    """Armijo backtracking along a Newton step: the first ``t`` in 1, 1/2,
+    1/4, ... whose ``objective(t)[0]`` is at most ``loss + 1e-4 * t * slope
+    + noise``, or ``None`` below t = 1e-10. ``slope`` < 0 is the directional
+    derivative at t = 0 and ``noise`` the rounding error of the loss, so
+    that near the optimum a step whose gain the loss cannot resolve is not
+    refused."""
+    t = 1.0
+    while t >= 1e-10:
+        state = objective(t)
+        if state[0] <= loss + 1e-4 * t * slope + noise:
+            return state
+        t *= 0.5
+    return None
 
-    The learning rate halves whenever a step would increase the loss; the
-    bias is not regularized. Deterministic for a given input.
+
+def fit_logistic(X, y, lam):
+    """Damped Newton (IRLS) on the L2-regularized mean logistic loss.
+
+    Minimizes ``mean(softplus(z) - y*z) + lam/2 * |w|^2`` over ``z = X @ w
+    + b``; the bias is not regularized. Each step solves the (d+1)-square
+    Newton system and backtracks from the full step (Minka 2003). The fit
+    is converged when the gradient norm is at most ``GRADIENT_TOL`` and the
+    Newton step at most ``STEP_TOL``: on separable classes without L2 the
+    gradient vanishes while the weights grow without bound, so a small
+    gradient alone does not mean an optimum. Raises ``NonConvergence``,
+    naming the final gradient norm, after ``MAX_NEWTON_STEPS`` steps, on a
+    Hessian that is singular to rounding (``lam=0`` with a constant or
+    collinear column), when the line search fails and on a non-finite
+    loss. Deterministic for a given input.
     """
     n, d = X.shape
-    w = np.zeros(d)
-    b = 0.0
-    z = X @ w + b
-    loss = _bce_loss(z, y) + 0.5 * lam * float(w @ w)
-    for _ in range(max_iter):
+    A = np.empty((n, d + 1))
+    A[:, :d] = X
+    A[:, d] = 1.0
+    abs_A = np.abs(A)
+    reg = np.full(d + 1, float(lam))
+    reg[d] = 0.0
+
+    def objective(theta):
+        z = A @ theta
+        return _bce_loss(z, y) + 0.5 * float(reg @ (theta * theta)), z, theta
+
+    loss, z, theta = objective(np.zeros(d + 1))
+    gnorm, moved = float("nan"), 0.0
+    failure = f"no optimum within {MAX_NEWTON_STEPS} Newton steps"
+    for _ in range(MAX_NEWTON_STEPS):
         p = sigmoid(z)
-        grad_w = X.T @ (p - y) / n + lam * w
-        grad_b = float(np.mean(p - y))
-        while True:
-            w_new = w - lr * grad_w
-            b_new = b - lr * grad_b
-            z_new = X @ w_new + b_new
-            loss_new = _bce_loss(z_new, y) + 0.5 * lam * float(w_new @ w_new)
-            if loss_new <= loss or lr < 1e-14:
-                break
-            lr *= 0.5
-        converged = abs(loss - loss_new) < tol * max(1.0, abs(loss))
-        w, b, z, loss = w_new, b_new, z_new, loss_new
-        if converged or lr < 1e-14:
+        grad = A.T @ (p - y) / n + reg * theta
+        gnorm = float(np.sqrt(grad @ grad))
+        if not np.isfinite(loss + gnorm):
+            failure = "non-finite loss"
             break
-    if not np.isfinite(loss):
-        raise NonConvergence(f"logistic loss diverged: final loss {loss}")
-    return w, b
+        hess = (A.T * (p * (1.0 - p))) @ A / n
+        hess[np.diag_indices(d + 1)] += reg
+        step = _newton_step(hess, grad)
+        if step is None:
+            failure = "singular Hessian"
+            break
+        moved = float(np.max(np.abs(step)))
+        if (gnorm <= GRADIENT_TOL
+                and moved <= STEP_TOL * max(1.0, float(np.max(np.abs(theta))))):
+            return theta[:d], float(theta[d])
+        # each logit is off by up to eps * sum_j |A_ij theta_j|, and the
+        # loss moves by at most that much per unit change of a logit
+        noise = _EPS * float(np.mean(abs_A @ np.abs(theta)))
+        state = _backtrack(lambda t: objective(theta - t * step),
+                           loss, -float(grad @ step), noise)
+        if state is None:
+            failure = "line search failed"
+            break
+        loss, z, theta = state
+    hint = ("; without l2, separable classes or a constant or collinear "
+            "column leave no unique optimum" if lam == 0 else "")
+    raise NonConvergence(
+        f"logistic fit failed ({failure}): gradient norm {gnorm:.3g}, last "
+        f"Newton step {moved:.3g}, loss {loss:.6g}{hint}")
+
+
+def _newton_step(hess, grad):
+    """``hess^-1 @ grad``, or ``None`` when ``hess`` is singular to rounding.
+
+    The test is scale free. Divide ``hess`` by ``outer(s, s)``, ``s`` the
+    square roots of its diagonal; the square of each Cholesky pivot of that
+    unit-diagonal matrix is the share of its column that the earlier
+    columns do not explain. A pivot below 1e-6, a zero diagonal entry or a
+    failed factorization means a column is a combination of others to
+    about twelve digits."""
+    scale = np.sqrt(np.diag(hess))
+    if not scale.min() > 0.0:
+        return None
+    unit = hess / np.outer(scale, scale)
+    try:
+        pivots = np.diag(np.linalg.cholesky(unit))
+    except np.linalg.LinAlgError:
+        return None
+    if pivots.min() < 1e-6:
+        return None
+    return np.linalg.solve(unit, grad / scale) / scale
 
 
 def train_logistic(X, y, hp, seed):
-    w, b = fit_logistic(X, y, lam=hp["l2"], lr=hp["learning_rate"],
-                        max_iter=hp["max_iter"], tol=hp["tol"])
+    w, b = fit_logistic(X, y, lam=hp["l2"])
     return {"weights": w, "bias": b}
 
 
@@ -66,21 +143,31 @@ def predict_logistic(params, X):
 
 
 def _fit_platt(scores, y, max_iter=100):
-    """Platt scaling: fit p = sigmoid(-(A*s + B)) by Newton's method.
+    """Platt scaling: fit p = sigmoid(-(A*s + B)) by Newton's method with
+    backtracking (Lin, Lin & Weng 2007).
 
     Uses the standard smoothed targets so the calibrator is well defined
-    even on perfectly separated scores.
+    even on perfectly separated scores; a 1e-12 ridge on the Hessian
+    diagonal keeps the 2x2 system solvable when all scores are equal. Stops
+    once a Newton step moves A and B by less than 1e-12; raises
+    ``NonConvergence`` when the Hessian is singular to rounding, when the
+    line search fails or after ``max_iter`` steps.
     """
     n_pos = float(np.sum(y == 1))
     n_neg = float(len(y) - n_pos)
     hi = (n_pos + 1.0) / (n_pos + 2.0)
     lo = 1.0 / (n_neg + 2.0)
     t = np.where(y == 1, hi, lo)
-    A, B = 0.0, np.log((n_neg + 1.0) / (n_pos + 1.0))
-    for _ in range(max_iter):
+    abs_scores = float(np.sum(np.abs(scores)))
+
+    def objective(A, B):
+        # sum(t*z + log(1+exp(-z))), the cross entropy against t
         z = A * scores + B
+        return float(np.sum(t * z + np.logaddexp(0.0, -z))), z, A, B
+
+    loss, z, A, B = objective(0.0, np.log((n_neg + 1.0) / (n_pos + 1.0)))
+    for _ in range(max_iter):
         p = sigmoid(-z)
-        # gradient of sum(t*z + log(1+exp(-z)))
         d1 = t - p
         g_a = float(np.sum(d1 * scores))
         g_b = float(np.sum(d1))
@@ -89,15 +176,25 @@ def _fit_platt(scores, y, max_iter=100):
         h_ab = float(np.sum(w * scores))
         h_bb = float(np.sum(w)) + 1e-12
         det = h_aa * h_bb - h_ab * h_ab
-        if abs(det) < 1e-18:
-            break
+        if not det > 0.0:
+            raise NonConvergence(
+                f"Platt scaling failed: singular Hessian (determinant {det:.3g}) "
+                f"at gradient ({g_a:.3g}, {g_b:.3g})")
         dA = (h_bb * g_a - h_ab * g_b) / det
         dB = (h_aa * g_b - h_ab * g_a) / det
-        A -= dA
-        B -= dB
+        noise = _EPS * (abs(A) * abs_scores + len(scores) * abs(B))
+        state = _backtrack(lambda s: objective(A - s * dA, B - s * dB),
+                           loss, -(g_a * dA + g_b * dB), noise)
+        if state is None:
+            raise NonConvergence(
+                f"Platt scaling failed: line search failed at gradient "
+                f"({g_a:.3g}, {g_b:.3g})")
+        loss, z, A, B = state
         if abs(dA) < 1e-12 and abs(dB) < 1e-12:
-            break
-    return A, B
+            return A, B
+    raise NonConvergence(
+        f"Platt scaling did not converge in {max_iter} Newton steps: "
+        f"gradient ({g_a:.3g}, {g_b:.3g}), last step ({dA:.3g}, {dB:.3g})")
 
 
 def train_linear_svm(X, y, hp, seed):

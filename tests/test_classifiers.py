@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from cricpred.errors import InvalidHyperparameter, SingleClassData
-from cricpred.features import EncodedDataset
+from cricpred.errors import InvalidHyperparameter, NonConvergence, SingleClassData
+from cricpred.features import RFE_L2, EncodedDataset, _standardize
 from cricpred.models import make_spec, mlp_loss_and_gradient, serialize, train
+from cricpred.models.linear import GRADIENT_TOL, _fit_platt, fit_logistic, sigmoid
 from cricpred.models.mlp import HIDDEN_UNITS, flatten, init_params, unflatten
 
 from conftest import match_like_schema, separable_dataset
+from test_features import planted_signal_dataset
 
 ALL_KINDS = ["naive_bayes", "gradient_boosting", "linear_svm",
              "logistic_regression", "random_forest", "mlp"]
@@ -181,3 +183,94 @@ class TestRegularization:
             spec = make_spec("random_forest", n_trees=n_trees)
             accs[n_trees] = cross_validate(spec, data, 5, seed=0).accuracy
         assert accs[200] >= accs[10] - 0.05
+
+
+def logistic_gradient_norm(X, y, lam, w, b):
+    """Norm of the gradient of the mean L2-regularized logistic loss."""
+    residual = sigmoid(X @ w + b) - y
+    grad = np.append(X.T @ residual / len(y) + lam * w, np.mean(residual))
+    return float(np.linalg.norm(grad))
+
+
+def noisy_rows(n=300, seed=0):
+    """Three normal columns and labels drawn from a logistic model, so the
+    classes overlap and the unregularized fit has a unique optimum."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, 3))
+    y = (rng.random(n) < sigmoid(X @ np.array([1.0, -0.5, 0.25]))).astype(float)
+    return X, y
+
+
+def badly_scaled_rows(seed):
+    """Overlapping classes over columns whose scales span 1e-2 to 1e4, with
+    offsets up to 1e4 and a third of the columns 0/1."""
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(30, 400)), int(rng.integers(1, 30))
+    X = (rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-2, 4, size=d)
+         + rng.normal(size=d) * 10.0 ** rng.uniform(-1, 4, size=d))
+    X[:, : d // 3] = rng.random((n, d // 3)) < 0.2
+    beta = rng.normal(size=d) / np.maximum(X.std(axis=0), 1e-3)
+    y = (rng.random(n) < sigmoid((X - X.mean(axis=0)) @ beta)).astype(float)
+    return X, y
+
+
+class TestNewtonSolvers:
+    @pytest.mark.parametrize("dataset,standardize,lam", [
+        (planted_signal_dataset, True, RFE_L2),
+        (planted_signal_dataset, False, 1e-4),
+        (separable_dataset, False, 1e-4),
+        (separable_dataset, True, RFE_L2)])
+    def test_logistic_reaches_gradient_tolerance(self, dataset, standardize, lam):
+        data = dataset()
+        X = _standardize(data.X) if standardize else data.X
+        y = data.y.astype(float)
+        w, b = fit_logistic(X, y, lam=lam)
+        assert logistic_gradient_norm(X, y, lam, w, b) <= GRADIENT_TOL
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_logistic_converges_on_badly_scaled_columns(self, seed):
+        # near the optimum the gain of a step is below the rounding of the
+        # loss; the line search must still take it
+        X, y = badly_scaled_rows(seed)
+        for lam in (1e-2, 1e-4):
+            w, b = fit_logistic(X, y, lam=lam)
+            assert logistic_gradient_norm(X, y, lam, w, b) <= GRADIENT_TOL
+
+    def test_unregularized_overlapping_classes_converge(self):
+        X, y = noisy_rows()
+        w, b = fit_logistic(X, y, lam=0.0)
+        assert logistic_gradient_norm(X, y, 0.0, w, b) <= GRADIENT_TOL
+
+    def test_unregularized_separable_raises(self):
+        with pytest.raises(NonConvergence, match="gradient norm"):
+            train(make_spec("logistic_regression", l2=0.0), separable_dataset())
+
+    @pytest.mark.parametrize("value", [0.0, 1.0, 3.0])
+    def test_unregularized_constant_column_raises(self, value):
+        X, y = noisy_rows()
+        X = np.hstack([X, np.full((len(y), 1), value)])
+        with pytest.raises(NonConvergence, match="gradient norm"):
+            fit_logistic(X, y, lam=0.0)
+
+    @pytest.mark.parametrize("name,value", [
+        ("max_iter", 5), ("learning_rate", 0.1), ("tol", 1e-8)])
+    def test_descent_hyperparameters_rejected(self, name, value):
+        with pytest.raises(InvalidHyperparameter):
+            make_spec("logistic_regression", **{name: value})
+
+    def test_platt_separated_scores(self):
+        scores = np.r_[np.linspace(-3.0, -1.0, 40), np.linspace(1.0, 3.0, 60)]
+        y = np.r_[np.zeros(40), np.ones(60)]
+        A, B = _fit_platt(scores, y)
+        # stationary point of sum(t*z + log(1 + exp(-z))), z = A*s + B,
+        # against the smoothed targets
+        t = np.where(y == 1, 61.0 / 62.0, 1.0 / 42.0)
+        d1 = t - sigmoid(-(A * scores + B))
+        assert abs(float(d1 @ scores)) < 1e-9 and abs(float(d1.sum())) < 1e-9
+        assert A < 0.0
+        assert np.all(sigmoid(-(A * scores + B))[y == 1] > 0.5)
+
+    def test_platt_non_finite_scores_raise(self):
+        scores = np.array([0.5, np.nan, -0.5, 1.0])
+        with pytest.raises(NonConvergence), np.errstate(invalid="ignore"):
+            _fit_platt(scores, np.array([1.0, 0.0, 0.0, 1.0]))

@@ -53,6 +53,13 @@ def binary(tmp):
     return str(path)
 
 
+def latin1(tmp, csv_path):
+    """A copy of the CSV with one Latin-1 byte in its last row."""
+    path = tmp / f"latin1_{Path(csv_path).name}"
+    path.write_bytes(Path(csv_path).read_bytes().rstrip(b"\r\n") + b"\xe9\n")
+    return str(path)
+
+
 @pytest.fixture(scope="module")
 def model(tmp_path_factory):
     out = tmp_path_factory.mktemp("model")
@@ -82,6 +89,11 @@ FAULTS = [
     ("ingest-malformed-header", 2, False,
      lambda t, m: ["ingest", "--matches", write(t, "m.csv", "match_id,season\n"),
                    "--players", PLAYERS]),
+    ("ingest-matches-not-utf8", 2, False,
+     lambda t, m: ["ingest", "--matches", latin1(t, MATCHES), "--players", PLAYERS]),
+    ("train-players-not-utf8", 2, False,
+     lambda t, m: ["train", "--matches", MATCHES, "--players", latin1(t, PLAYERS),
+                   "--out-dir", str(t)]),
     ("fit-points-no-player-rows", 2, False,
      lambda t, m: ["fit-points", "--matches", MATCHES, "--players",
                    write(t, "p.csv", Path(PLAYERS).read_text().splitlines()[0])]),
