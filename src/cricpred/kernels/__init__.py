@@ -86,14 +86,23 @@ def _side_counts(B, min_leaf):
 def count_split_gini(B, labels, min_leaf):
     """Impurity of splitting each 0/1 column of ``B`` into zeros and ones.
 
-    ``labels`` are the float64 zeros/ones of ``B``'s rows. Returns one
-    impurity per column, ``inf`` where the column has no valid split. The
-    label sums are whole numbers, so any summation order is exact.
+    ``labels`` are the float64 zeros/ones of ``B``'s rows. Returns a float64
+    array of one impurity per column, ``inf`` where the column has no valid
+    split. Two reductions give each column's count of ones and of class-1
+    rows among them; the sums are whole numbers, so any summation order is
+    exact. Each column is then scored on Python floats: a node scores at
+    most a few dozen columns, and at that size a dozen ufunc dispatches
+    cost more than the arithmetic.
     """
-    nl, nr, valid = _side_counts(B, min_leaf)
-    total1 = labels.sum()
-    imp = _gini(nl, nr, total1 - labels @ B, total1)
-    return np.where(valid, imp, _INF)
+    n = B.shape[0]
+    total1 = float(labels.sum())
+    floor = max(min_leaf, 1)
+    out = []
+    for nr, c1r in zip(B.sum(axis=0).tolist(), (labels @ B).tolist()):
+        nl = n - nr
+        out.append(_gini(nl, nr, total1 - c1r, total1)
+                   if min(nl, nr) >= floor else _INF)
+    return np.array(out, dtype=np.float64)
 
 
 def count_split_sse(B, targets, min_leaf):

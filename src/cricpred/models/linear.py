@@ -202,20 +202,24 @@ def train_linear_svm(X, y, hp, seed):
     n, d = X.shape
     lam = hp["l2"]
     epochs = hp["epochs"]
-    ypm = np.where(y == 1, 1.0, -1.0)
+    # row views and Python-float signs: indexing an array per step costs
+    # more than the step's arithmetic
+    rows = list(X)
+    signs = np.where(y == 1, 1.0, -1.0).tolist()
     rng = np.random.default_rng(seed)
     w = np.zeros(d)
     b = 0.0
     t = 0
     for _ in range(epochs):
-        for i in rng.permutation(n):
+        for i in rng.permutation(n).tolist():
             t += 1
             eta = 1.0 / (lam * t)
-            margin = ypm[i] * (float(X[i] @ w) + b)
+            sign, row = signs[i], rows[i]
+            margin = sign * (float(row @ w) + b)
             w *= 1.0 - eta * lam
             if margin < 1.0:
-                w += eta * ypm[i] * X[i]
-                b += eta * ypm[i]
+                w += eta * sign * row
+                b += eta * sign
     scores = X @ w + b
     A, B = _fit_platt(scores, y)
     return {"weights": w, "bias": b, "platt_a": A, "platt_b": B}

@@ -1,5 +1,12 @@
 """Three-hidden-layer perceptron (10-10-10, ReLU, sigmoid output) trained
-with Adam on L2-regularized binary cross entropy."""
+with Adam on L2-regularized binary cross entropy.
+
+Training holds the parameters, their gradient and the Adam moments each in
+one flat float64 vector; every layer's ``W`` and ``b`` are reshaped views
+of it (``unflatten``), so an Adam step is a few ufunc calls on the whole
+vector. A mini-batch step computes only the gradient; the loss is computed
+once per epoch, on the full training set, for early stopping.
+"""
 
 from __future__ import annotations
 
@@ -35,6 +42,27 @@ def _forward(params, X):
     return activations, z  # z is the final logit column
 
 
+def _loss(params, logits, y, lam):
+    loss = float(np.mean(np.logaddexp(0.0, logits) - y * logits))
+    return loss + 0.5 * lam * sum(float(np.sum(W * W)) for W, _ in params)
+
+
+def _gradient(params, X, y, lam, grads):
+    """Write the gradient of the loss at ``X``, ``y`` (a column) into
+    ``grads``, arrays shaped like ``params``; return the logits."""
+    activations, logits = _forward(params, X)
+    delta = (sigmoid(logits) - y) / X.shape[0]
+    for i in range(len(params) - 1, -1, -1):
+        W, _ = params[i]
+        gW, gb = grads[i]
+        np.matmul(activations[i].T, delta, out=gW)
+        gW += lam * W
+        delta.sum(axis=0, out=gb)
+        if i > 0:
+            delta = (delta @ W.T) * (activations[i] > 0.0)
+    return logits
+
+
 def mlp_loss_and_gradient(params, X, y, lam):
     """Mean binary cross entropy plus (lam/2)*sum of squared weights.
 
@@ -43,79 +71,62 @@ def mlp_loss_and_gradient(params, X, y, lam):
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).reshape(-1, 1)
-    n = X.shape[0]
-    activations, logits = _forward(params, X)
-    loss = float(np.mean(np.logaddexp(0.0, logits) - y * logits))
-    loss += 0.5 * lam * sum(float(np.sum(W * W)) for W, _ in params)
-    grads = [None] * len(params)
-    delta = (sigmoid(logits) - y) / n
-    for i in range(len(params) - 1, -1, -1):
-        W, _ = params[i]
-        grads[i] = [activations[i].T @ delta + lam * W, delta.sum(axis=0)]
-        if i > 0:
-            delta = (delta @ W.T) * (activations[i] > 0.0)
-    return loss, grads
-
-
-def _full_loss(params, X, y, lam):
-    logits = _forward(params, X)[1]
-    y = y.reshape(-1, 1)
-    loss = float(np.mean(np.logaddexp(0.0, logits) - y * logits))
-    return loss + 0.5 * lam * sum(float(np.sum(W * W)) for W, _ in params)
+    grads = [[np.empty_like(W), np.empty_like(b)] for W, b in params]
+    logits = _gradient(params, X, y, lam, grads)
+    return _loss(params, logits, y, lam), grads
 
 
 def train_mlp(X, y, hp, seed):
     X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64).reshape(-1, 1)
     lam = hp["l2"]
     lr = hp["learning_rate"]
     epochs = hp["epochs"]
     batch_size = hp["batch_size"]
     patience = hp["patience"]
 
-    params = init_params(X.shape[1], seed)
-    m_state = [[np.zeros_like(W), np.zeros_like(b)] for W, b in params]
-    v_state = [[np.zeros_like(W), np.zeros_like(b)] for W, b in params]
+    template = init_params(X.shape[1], seed)
+    theta = flatten(template)
+    params = unflatten(theta, template)
+    grad = np.zeros_like(theta)
+    grads = unflatten(grad, template)
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
     step = 0
     rng = np.random.default_rng([seed, 1])
     n = X.shape[0]
     history = []
     best_loss = np.inf
-    best_params = [[W.copy(), b.copy()] for W, b in params]
+    best_theta = theta.copy()
     stale = 0
 
     for _ in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             batch = order[start:start + batch_size]
-            _, grads = mlp_loss_and_gradient(params, X[batch], y[batch], lam)
+            _gradient(params, X[batch], y[batch], lam, grads)
             step += 1
             correction = (np.sqrt(1.0 - ADAM_BETA2 ** step)
                           / (1.0 - ADAM_BETA1 ** step))
-            for layer, grad in zip(range(len(params)), grads):
-                for slot in (0, 1):
-                    g = grad[slot]
-                    m = m_state[layer][slot]
-                    v = v_state[layer][slot]
-                    m *= ADAM_BETA1
-                    m += (1.0 - ADAM_BETA1) * g
-                    v *= ADAM_BETA2
-                    v += (1.0 - ADAM_BETA2) * g * g
-                    params[layer][slot] -= (lr * correction) * m / (np.sqrt(v) + ADAM_EPS)
-        epoch_loss = _full_loss(params, X, y, lam)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * grad
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * grad * grad
+            theta -= (lr * correction) * m / (np.sqrt(v) + ADAM_EPS)
+        epoch_loss = _loss(params, _forward(params, X)[1], y, lam)
         history.append(epoch_loss)
         if not np.isfinite(epoch_loss):
             raise NonConvergence(
                 f"training loss diverged; last epochs: {history[-5:]}")
         if epoch_loss < best_loss - 1e-12:
             best_loss = epoch_loss
-            best_params = [[W.copy(), b.copy()] for W, b in params]
+            best_theta = theta.copy()
             stale = 0
         else:
             stale += 1
             if stale >= patience:
                 break
-    return {"layers": best_params}
+    return {"layers": unflatten(best_theta, template)}
 
 
 def predict_mlp(params, X):
@@ -127,17 +138,20 @@ def predict_mlp(params, X):
 
 
 def flatten(params):
-    """Concatenate all parameter arrays into one vector (for diagnostics)."""
+    """Concatenate all parameter arrays into one vector, layer by layer,
+    each ``W`` before its ``b``."""
     return np.concatenate([a.ravel() for pair in params for a in pair])
 
 
 def unflatten(vector, template):
+    """Views of ``vector`` shaped like the arrays of ``template``, in
+    ``flatten``'s order: writing to one writes to ``vector``."""
     out = []
     pos = 0
     for W, b in template:
         new = []
         for a in (W, b):
-            new.append(vector[pos:pos + a.size].reshape(a.shape).copy())
+            new.append(vector[pos:pos + a.size].reshape(a.shape))
             pos += a.size
         out.append(new)
     return out

@@ -45,7 +45,13 @@ def _best_split(X, idx, crit, min_leaf, features, binary, kernel, count_kernel,
         i, score = kernel(values, crit[order], min_leaf)
         if i >= 0:
             scores[k] = score
-            sorted_splits[k] = (order, i, (values[i - 1] + values[i]) / 2.0)
+            lo, hi = float(values[i - 1]), float(values[i])
+            threshold = (lo + hi) / 2.0
+            if not lo < threshold <= hi:
+                # adjacent doubles round the midpoint down to ``lo`` (and a
+                # huge pair overflows it), which would send ``lo`` right
+                threshold = hi
+            sorted_splits[k] = (order, i, threshold)
     k = int(scores.argmax() if maximize else scores.argmin())
     if abs(scores[k]) == _INF:  # no candidate has a valid split
         return None
@@ -63,7 +69,7 @@ def _grow(X, idx, criterion_values, leaf_value, min_leaf, max_depth, depth,
     crit = criterion_values[idx]
     done = ((max_depth is not None and depth >= max_depth)
             or idx.size < 2 * min_leaf
-            or bool(np.all(crit == crit[0])))
+            or bool((crit == crit[0]).all()))
     if not done:
         if max_features is not None and max_features < n_features:
             chosen = rng.choice(n_features, size=max_features, replace=False)
@@ -94,7 +100,7 @@ def fit_classification_tree(X, y, min_leaf=1, max_depth=None, rng=None,
     idx = np.arange(X.shape[0])
 
     def leaf_value(node_idx):
-        return float(y[node_idx].mean())
+        return float(y[node_idx].sum()) / node_idx.size
 
     return _grow(X, idx, y, leaf_value, min_leaf, max_depth, 0, rng,
                  max_features, _binary_columns(X), best_split_gini,

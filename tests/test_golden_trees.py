@@ -1,8 +1,12 @@
-"""Golden digests of tree-ensemble documents.
+"""Golden digests of model documents, at least one for each kind.
 
-The digests were recorded from the argsort-per-column split search. Any
-change to the tree learner, the split kernels or the boosting loop that
-alters a single threshold, leaf value or child order changes a digest.
+The tree-ensemble digests were recorded from the argsort-per-column split
+search: any change to the tree learner, the split kernels or the boosting
+loop that alters a single threshold, leaf value or child order changes a
+digest. The ``mlp``, ``linear_svm``, ``logistic_regression`` and
+``naive_bayes`` digests pin every weight of those documents to the last
+bit, so a faster training loop must reproduce its floating-point
+operations exactly.
 """
 
 import hashlib
@@ -32,6 +36,16 @@ GOLDEN = {
         "d70cb3dc5a09e0effda183e3191d433151cfc576cfa1b62988361a3c0a6251fd",
     ("separable", "gradient_boosting", (("n_rounds", 30),)):
         "9450be6bfe8a2cdbe2b52947bfe9fa3a708fb4f1c35c5bf557a53304669ce15b",
+    ("fixture", "mlp", ()):
+        "2b77e7963c4771da8c7b477256fd282950013debd7ebd8e138cc084d4a8d9fb9",
+    ("separable", "mlp", (("epochs", 40),)):
+        "6c659759ef423c275436c6123b76b4e405447ef90a15fd32eb0516851cce1131",
+    ("fixture", "linear_svm", ()):
+        "21c0dbf2dfcfd541752f99e095dac8c14094983ed6555c906288d29fc7b0c163",
+    ("fixture", "logistic_regression", ()):
+        "452a2d5ed6ecb880db8c3cedae873f18f04a6bfaa93310d805c01fd48b3d2a82",
+    ("fixture", "naive_bayes", ()):
+        "8934107e5770669bc83430018e656ff17d958654a601ff7b2af80af0e8abefaf",
 }
 
 
