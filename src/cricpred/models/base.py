@@ -19,9 +19,9 @@ from ..errors import (
 )
 from ..scoring import PointsModel
 from ..strength import TeamWeightLedger
-from . import ensemble, linear, mlp, naive_bayes
+from . import ensemble, linear, mlp, naive_bayes, tree
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 LABEL_CONVENTION = "1=home_team_win"
 
 # (default, validator) per hyperparameter
@@ -104,6 +104,9 @@ class Classifier(NamedTuple):
     train: Callable      # (X, y, hyperparameters, seed, schema) -> parameters
     predict: Callable    # (parameters, X) -> P(class 1) per row
     parameter_keys: tuple  # the keys of ``parameters`` that ``predict`` reads
+    # (document parameters, schema) -> parameters ``predict`` can read;
+    # raises ValueError on a malformed document
+    load: Callable | None = None
 
 
 def _without_schema(trainer):
@@ -114,6 +117,10 @@ def _train_naive_bayes(X, y, hp, seed, schema):
     return naive_bayes.train_naive_bayes(X, y, hp, seed, schema.binary_mask())
 
 
+def _load_node_table(parameters, schema):
+    return {**parameters, **tree.load_table(parameters, schema.total_columns)}
+
+
 # In the order ``--kind all`` trains them.
 CLASSIFIERS = {
     "naive_bayes": Classifier(
@@ -121,7 +128,8 @@ CLASSIFIERS = {
         ("binary_mask", "class_0", "class_1")),
     "gradient_boosting": Classifier(
         _without_schema(ensemble.train_gradient_boosting),
-        ensemble.predict_gradient_boosting, ("base_score", "shrinkage", "trees")),
+        ensemble.predict_gradient_boosting,
+        ("base_score", "shrinkage", *tree.TABLE_KEYS), _load_node_table),
     "linear_svm": Classifier(
         _without_schema(linear.train_linear_svm), linear.predict_linear_svm,
         ("weights", "bias", "platt_a", "platt_b")),
@@ -130,7 +138,7 @@ CLASSIFIERS = {
         ("weights", "bias")),
     "random_forest": Classifier(
         _without_schema(ensemble.train_random_forest),
-        ensemble.predict_random_forest, ("trees",)),
+        ensemble.predict_random_forest, tree.TABLE_KEYS, _load_node_table),
     "mlp": Classifier(
         _without_schema(mlp.train_mlp), mlp.predict_mlp, ("layers",)),
 }
@@ -224,20 +232,24 @@ def deserialize(doc: dict) -> ModelDocument:
     try:
         spec = ClassifierSpec.from_dict(doc["spec"])
         schema = FeatureSchema.from_dict(doc["schema"])
+        classifier = CLASSIFIERS[spec.kind]
+        parameters = doc["parameters"]
+        missing = [key for key in classifier.parameter_keys
+                   if key not in parameters]
+        if missing:
+            raise CorruptDocument(
+                f"{spec.kind} model document parameters lack {', '.join(missing)}")
+        if classifier.load is not None:
+            parameters = classifier.load(parameters, schema)
         model = TrainedClassifier(
-            spec=spec, parameters=doc["parameters"], schema=schema,
+            spec=spec, parameters=parameters, schema=schema,
             training_rows=int(doc["training_rows"]))
         points = (PointsModel.from_dict(doc["points_model"])
                   if doc.get("points_model") else None)
         ledger = (TeamWeightLedger.from_dict(doc["team_weights"])
                   if doc.get("team_weights") else None)
-        missing = [key for key in CLASSIFIERS[spec.kind].parameter_keys
-                   if key not in model.parameters]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CorruptDocument(f"malformed model document: {exc}") from None
-    if missing:
-        raise CorruptDocument(
-            f"{spec.kind} model document parameters lack {', '.join(missing)}")
     return ModelDocument(model=model, points_model=points, ledger=ledger)
 
 

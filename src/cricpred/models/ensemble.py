@@ -1,4 +1,9 @@
-"""Random forest and gradient-boosted trees on the shared tree builder."""
+"""Random forest and gradient-boosted trees on the shared tree builder.
+
+Both keep their trees as one node table (``tree.flatten``). They add up
+the trees' leaf values one tree at a time, in tree order: a pairwise
+``sum(axis=0)`` can round differently.
+"""
 
 from __future__ import annotations
 
@@ -10,6 +15,7 @@ from .linear import sigmoid
 from .tree import (
     fit_classification_tree,
     fit_regression_tree,
+    flatten,
     tree_predict_matrix,
 )
 
@@ -30,15 +36,15 @@ def train_random_forest(X, y, hp, seed):
         trees.append(fit_classification_tree(
             X[sample], y[sample], min_leaf=min_leaf, max_depth=max_depth,
             rng=rng, max_features=max_features))
-    return {"trees": trees}
+    return flatten(trees)
 
 
 def predict_random_forest(params, X):
     X = np.asarray(X, dtype=np.float64)
     votes = np.zeros(X.shape[0])
-    for tree in params["trees"]:
-        votes += tree_predict_matrix(tree, X)
-    return votes / len(params["trees"])
+    for leaf_values in tree_predict_matrix(params, X):
+        votes += leaf_values
+    return votes / len(params["roots"])
 
 
 def train_gradient_boosting(X, y, hp, seed):
@@ -54,14 +60,14 @@ def train_gradient_boosting(X, y, hp, seed):
         grad = y - p          # negative gradient of logistic loss
         hess = p * (1.0 - p)
         tree = fit_regression_tree(X, grad, hess, max_depth=max_depth)
-        f = f + shrinkage * tree_predict_matrix(tree, X)
+        f = f + shrinkage * tree_predict_matrix(flatten([tree]), X)[0]
         trees.append(tree)
-    return {"base_score": f0, "shrinkage": shrinkage, "trees": trees}
+    return {"base_score": f0, "shrinkage": shrinkage, **flatten(trees)}
 
 
 def predict_gradient_boosting(params, X):
     X = np.asarray(X, dtype=np.float64)
     f = np.full(X.shape[0], params["base_score"])
-    for tree in params["trees"]:
-        f = f + params["shrinkage"] * tree_predict_matrix(tree, X)
+    for leaf_values in tree_predict_matrix(params, X):
+        f = f + params["shrinkage"] * leaf_values
     return sigmoid(f)

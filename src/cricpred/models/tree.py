@@ -1,7 +1,15 @@
 """Binary decision trees built on the split-search kernels.
 
-Trees are represented as nested dicts (JSON-friendly): internal nodes carry
-``feature``/``threshold``/``left``/``right``, leaves carry ``value``.
+Trees grow as nested dicts: internal nodes carry
+``feature``/``threshold``/``left``/``right``, leaves carry ``value``. An
+ensemble is saved and predicted as one flat node table (``flatten``), the
+layout of scikit-learn's ``Tree`` and of XGBoost: the parallel arrays
+``feature``, ``threshold``, ``left``, ``right`` and ``value`` over the
+nodes of every tree in preorder, and ``roots``, the index of each tree's
+first node. A row goes to ``left`` when its ``feature`` column is below
+``threshold``. A leaf's ``left`` and ``right`` are its own index, and its
+``feature`` and ``threshold`` are 0, so ``tree_predict_matrix`` moves every
+(tree, row) pair down one level per step until none moves.
 
 Columns whose every value is 0.0 or 1.0 (the dummy-coded categoricals) are
 scored together from counts; other columns are sorted and scanned. Both
@@ -124,11 +132,84 @@ def fit_regression_tree(X, grad, hess, min_leaf=1, max_depth=3):
                  maximize=True)
 
 
-def tree_predict(node, row):
-    while "value" not in node:
-        node = node["left"] if row[node["feature"]] < node["threshold"] else node["right"]
-    return node["value"]
+TABLE_KEYS = ("roots", "feature", "threshold", "left", "right", "value")
+_DTYPES = {"roots": np.int64, "feature": np.int64, "threshold": np.float64,
+           "left": np.int64, "right": np.int64, "value": np.float64}
 
 
-def tree_predict_matrix(node, X):
-    return np.array([tree_predict(node, row) for row in X], dtype=np.float64)
+def _arrays(lists):
+    return {k: np.fromiter(lists[k], dtype=_DTYPES[k]) for k in TABLE_KEYS}
+
+
+def flatten(trees):
+    """The node table of the nested ``trees``, as arrays keyed by
+    ``TABLE_KEYS``."""
+    table = {k: [] for k in TABLE_KEYS}
+    feature, threshold, left, right, value = (table[k] for k in TABLE_KEYS[1:])
+
+    def visit(node):
+        i = len(value)
+        leaf = "value" in node
+        feature.append(0 if leaf else node["feature"])
+        threshold.append(0.0 if leaf else node["threshold"])
+        value.append(node["value"] if leaf else 0.0)
+        left.append(i)
+        right.append(i)
+        if not leaf:
+            left[i] = visit(node["left"])
+            right[i] = visit(node["right"])
+        return i
+
+    for tree in trees:
+        table["roots"].append(visit(tree))
+    return _arrays(table)
+
+
+def load_table(lists, n_columns):
+    """The node table held as lists in ``lists`` (a model document's
+    parameters), converted to arrays. Raises ValueError unless the table
+    has at least one tree, its node arrays are of one length, every root
+    is a node, every node's ``feature`` is a column below ``n_columns``,
+    and every node either is a leaf (``left`` and ``right`` are itself) or
+    has both children past itself and inside the table. The last condition
+    rules out cycles, so every descent ends at a leaf."""
+    table = _arrays(lists)
+    n = table["value"].size
+    roots, feature, left, right = (table[k] for k in ("roots", "feature",
+                                                      "left", "right"))
+    if any(table[k].size != n for k in TABLE_KEYS[1:]):
+        raise ValueError("node table arrays differ in length: " + ", ".join(
+            f"{k} {table[k].size}" for k in TABLE_KEYS[1:]))
+    if roots.size == 0:
+        raise ValueError("node table holds no tree")
+    if roots.min() < 0 or roots.max() >= n:
+        raise ValueError(f"a root lies outside the {n}-node table")
+    bad = (feature < 0) | (feature >= n_columns)
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(f"node {i} reads column {feature[i]}, outside "
+                         f"the {n_columns} columns")
+    node = np.arange(n)
+    leaf = (left == node) & (right == node)
+    bad = ~leaf & ((left <= node) | (left >= n) | (right <= node) | (right >= n))
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(f"node {i} has children {left[i]} and {right[i]}; "
+                         f"they must both be itself or lie in ({i}, {n})")
+    return table
+
+
+def tree_predict_matrix(table, X):
+    """Leaf values of every tree of the node ``table`` (rows of the result)
+    for every row of ``X`` (columns)."""
+    X = np.asarray(X, dtype=np.float64)
+    feature, threshold, left, right = (table[k] for k in ("feature", "threshold",
+                                                          "left", "right"))
+    rows = np.arange(X.shape[0])
+    node = np.repeat(table["roots"][:, None], rows.size, axis=1)
+    while True:
+        step = np.where(X[rows, feature[node]] < threshold[node],
+                        left[node], right[node])
+        if np.array_equal(step, node):
+            return table["value"][node]
+        node = step

@@ -3,11 +3,22 @@ import importlib.resources
 import numpy as np
 import pytest
 
-from cricpred.features import EncodedDataset, FeatureSchema
+from cricpred.dataset import load_matches, load_player_performances
+from cricpred.features import EncodedDataset, FeatureSchema, build_schema, encode
+from cricpred.scoring import REFERENCE_POINTS_MODEL
+from cricpred.strength import build_ledger
 
 
 def fixture_path(name):
     return str(importlib.resources.files("cricpred.fixtures") / name)
+
+
+def fixture_dataset():
+    """The bundled fixture, encoded by the default pipeline."""
+    dataset = load_matches(fixture_path("matches.csv"))
+    players = load_player_performances(fixture_path("players.csv"))
+    ledger = build_ledger(REFERENCE_POINTS_MODEL, players, dataset)
+    return encode(dataset, ledger, build_schema(dataset))
 
 
 @pytest.fixture(scope="session")

@@ -5,6 +5,7 @@ import shutil
 import pytest
 
 from cricpred.cli import main
+from cricpred.models import FORMAT_VERSION
 
 from conftest import fixture_path
 
@@ -74,7 +75,7 @@ class TestTrain:
             "model_naive_bayes.json", "model_random_forest.json"]
         for path in tmp_path.glob("model_*.json"):
             doc = json.loads(path.read_text())
-            assert doc["format_version"] == 1
+            assert doc["format_version"] == FORMAT_VERSION
             assert doc["team_weights"] is not None
 
     def test_holdout_covers_all_seasons_exit_3(self, capsys, tmp_path,

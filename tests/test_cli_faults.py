@@ -19,11 +19,17 @@ MATCHES = fixture_path("matches.csv")
 PLAYERS = fixture_path("players.csv")
 DATA = ["--matches", MATCHES, "--players", PLAYERS]
 TOSS = ["--venue", "Dr DY Patil Sports Academy", "--toss-decision", "bat"]
+ENSEMBLES = ("random_forest", "gradient_boosting")
 
 
 def predict(model, home="CSK", away="RR", toss_winner="CSK"):
     return ["predict", "--model", model, "--home", home, "--away", away,
             "--toss-winner", toss_winner, *TOSS]
+
+
+def report(tmp, model):
+    return ["report", *DATA, "--holdout-season", "2017", "--out-dir", str(tmp),
+            "--model", model]
 
 
 def write(tmp, name, text):
@@ -66,6 +72,14 @@ def model(tmp_path_factory):
     assert main(["train", *DATA, "--kind", "logistic_regression",
                  "--out-dir", str(out)]) == 0
     return str(out / "model_logistic_regression.json")
+
+
+@pytest.fixture(scope="module")
+def ensembles(tmp_path_factory):
+    out = tmp_path_factory.mktemp("ensembles")
+    for kind in ENSEMBLES:
+        assert main(["train", *DATA, "--kind", kind, "--out-dir", str(out)]) == 0
+    return {kind: str(out / f"model_{kind}.json") for kind in ENSEMBLES}
 
 
 # (id, expected exit code, argparse usage error?, argv from (tmp_path, model))
@@ -139,6 +153,12 @@ FAULTS = [
     ("predict-binary-document", 3, False, lambda t, m: predict(binary(t))),
     ("predict-format-version-0", 3, False,
      lambda t, m: predict(edited(t, m, lambda d: d.update(format_version=0)))),
+    # a version 1 document: the two versions of a logistic_regression
+    # document differ only in format_version
+    ("predict-format-version-1", 3, False,
+     lambda t, m: predict(edited(t, m, lambda d: d.update(format_version=1)))),
+    ("report-format-version-1", 3, False,
+     lambda t, m: report(t, edited(t, m, lambda d: d.update(format_version=1)))),
     ("predict-emptied-parameters", 3, False,
      lambda t, m: predict(edited(t, m, lambda d: d.update(parameters={})))),
     ("report-emptied-parameters", 3, False,
@@ -167,6 +187,45 @@ def test_fault_exit_code(capsys, tmp_path, model, code, usage, argv):
         assert "error:" in err
     else:
         assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
+def internal(p):
+    """The internal nodes of a node table, in preorder."""
+    return [i for i, child in enumerate(p["left"]) if child != i]
+
+
+def child_out_of_range(p):
+    p["right"][internal(p)[0]] = len(p["value"])
+
+
+def cycle(p):
+    """An internal left child points back at its parent."""
+    inner = internal(p)
+    parent = next(i for i in inner if p["left"][i] in inner)
+    p["left"][p["left"][parent]] = parent
+
+
+def feature_out_of_range(p):
+    p["feature"][internal(p)[0]] = 99
+
+
+def unequal_lengths(p):
+    del p["threshold"][-1]
+
+
+TABLE_FAULTS = [child_out_of_range, cycle, feature_out_of_range, unequal_lengths]
+
+
+@pytest.mark.parametrize("command", ["predict", "report"])
+@pytest.mark.parametrize("fault", TABLE_FAULTS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("kind", ENSEMBLES)
+def test_corrupt_node_table_exit_3(capsys, tmp_path, ensembles, kind, fault,
+                                   command):
+    path = edited(tmp_path, ensembles[kind], lambda d: fault(d["parameters"]))
+    argv = predict(path) if command == "predict" else report(tmp_path, path)
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
 
 
 FAMILY_CODES = {

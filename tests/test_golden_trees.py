@@ -1,12 +1,16 @@
-"""Golden digests of model documents, at least one for each kind.
+"""Golden digests of format_version 2 model documents, at least one for
+each kind.
 
-The tree-ensemble digests were recorded from the argsort-per-column split
-search: any change to the tree learner, the split kernels or the boosting
-loop that alters a single threshold, leaf value or child order changes a
-digest. The ``mlp``, ``linear_svm``, ``logistic_regression`` and
-``naive_bayes`` digests pin every weight of those documents to the last
-bit, so a faster training loop must reproduce its floating-point
-operations exactly.
+The tree-ensemble digests pin the trees grown by the argsort-per-column
+split search, saved as one preorder node table: any change to the tree
+learner, the split kernels or the boosting loop that alters a single
+threshold, leaf value or child order changes a digest, and so does any
+change to the table's layout. They equal the digests of format_version 1
+documents (nested trees) of the same models converted to the table. The
+``mlp``, ``linear_svm``, ``logistic_regression`` and ``naive_bayes``
+digests pin every weight of those documents to the last bit, so a faster
+training loop must reproduce its floating-point operations exactly; with
+``format_version`` set back to 1 they give the version 1 digests.
 """
 
 import hashlib
@@ -14,46 +18,35 @@ import json
 
 import pytest
 
-from cricpred.dataset import load_matches, load_player_performances
-from cricpred.features import build_schema, encode
 from cricpred.models import make_spec, serialize, train
-from cricpred.scoring import REFERENCE_POINTS_MODEL
-from cricpred.strength import build_ledger
 
-from conftest import fixture_path, separable_dataset
+from conftest import fixture_dataset, separable_dataset
 
 SMALL_FOREST = (("max_depth", 6), ("min_leaf", 3), ("n_trees", 20))
 
 # (dataset, kind, hyperparameters) -> sha256 of the sorted-key JSON document
 GOLDEN = {
     ("fixture", "random_forest", ()):
-        "72447fdabce4ca3b3624ad8418865c6e491e740f2d01a9d69e5f916114081cb8",
+        "5bd30d496abd3b3fe54d88c6c93c504508b3427002436ad26e3416fc00041958",
     ("fixture", "random_forest", SMALL_FOREST):
-        "05eadc9347063e9e02469e644d49af7480dbb3dfd110ddccbbd814b28848197f",
+        "da9ef943b77098a25ea437750ba8358cc2068591e36c0b7bcfbb4a1f084a0515",
     ("fixture", "gradient_boosting", ()):
-        "0abb0004585be022c77b2151f43ac131e5c9c623145f4d0af214b7e8f6ad35fb",
+        "1fb0c601288d2718925c9b68346185bb72d40a8a6c5975afa7d48566c8966371",
     ("separable", "random_forest", SMALL_FOREST):
-        "d70cb3dc5a09e0effda183e3191d433151cfc576cfa1b62988361a3c0a6251fd",
+        "1f68e8a912f3d0c2ad4b7f91ffe894f899b0874c31163fff349dc2121ec0913c",
     ("separable", "gradient_boosting", (("n_rounds", 30),)):
-        "9450be6bfe8a2cdbe2b52947bfe9fa3a708fb4f1c35c5bf557a53304669ce15b",
+        "66119b14b981b898b74d2a3e9eadbfe1b281bc8c98d360460b7b9d45c153107d",
     ("fixture", "mlp", ()):
-        "2b77e7963c4771da8c7b477256fd282950013debd7ebd8e138cc084d4a8d9fb9",
+        "932a146e1692399e51f42acc817a14ffaf0d36c46f32918e22882aedc143e6d7",
     ("separable", "mlp", (("epochs", 40),)):
-        "6c659759ef423c275436c6123b76b4e405447ef90a15fd32eb0516851cce1131",
+        "4727e6ad3aac8bf9634bb00ed1bd26289b9d63ace93750d33dcd61f86e37468f",
     ("fixture", "linear_svm", ()):
-        "21c0dbf2dfcfd541752f99e095dac8c14094983ed6555c906288d29fc7b0c163",
+        "542df1f1df1077c4d22148f25ceeeebe9c1b159a1ed620a4474b0b28b6c4a29e",
     ("fixture", "logistic_regression", ()):
-        "452a2d5ed6ecb880db8c3cedae873f18f04a6bfaa93310d805c01fd48b3d2a82",
+        "fb0ce9fef10ceb7e9c7490d817afab09878468ac3a8d42c62212b7a3b239a32f",
     ("fixture", "naive_bayes", ()):
-        "8934107e5770669bc83430018e656ff17d958654a601ff7b2af80af0e8abefaf",
+        "4757098c47c4d8dc5d2fc0907ba75f3d620c76058c11854ab7620af23933562f",
 }
-
-
-def fixture_dataset():
-    dataset = load_matches(fixture_path("matches.csv"))
-    players = load_player_performances(fixture_path("players.csv"))
-    ledger = build_ledger(REFERENCE_POINTS_MODEL, players, dataset)
-    return encode(dataset, ledger, build_schema(dataset))
 
 
 DATASETS = {
