@@ -38,7 +38,6 @@ DEFAULT_HYPERPARAMETERS = {
     },
     "linear_svm": {
         "l2": (1e-4, _POSITIVE),
-        "epochs": (200, _COUNT),
     },
     "logistic_regression": {
         "l2": (1e-4, _NONNEG),
@@ -106,7 +105,7 @@ class Classifier(NamedTuple):
     parameter_keys: tuple  # the keys of ``parameters`` that ``predict`` reads
     # (document parameters, schema) -> parameters ``predict`` can read;
     # raises ValueError on a malformed document
-    load: Callable | None = None
+    load: Callable
 
 
 def _without_schema(trainer):
@@ -117,30 +116,84 @@ def _train_naive_bayes(X, y, hp, seed, schema):
     return naive_bayes.train_naive_bayes(X, y, hp, seed, schema.binary_mask())
 
 
-def _load_node_table(parameters, schema):
-    return {**parameters, **tree.load_table(parameters, schema.total_columns)}
+def _numbers(value, name, shape=()):
+    """``value`` as float64 numbers of ``shape``, a float for ``()``.
+    Raises ValueError unless it holds finite JSON numbers (not strings,
+    booleans, nulls, NaN or infinities) in exactly that shape."""
+    array = np.asarray(value)
+    if array.dtype.kind not in "iuf" or array.shape != shape:
+        raise ValueError(f"{name} holds {array.dtype} of shape {array.shape}, "
+                         f"not numbers of shape {shape}")
+    array = array.astype(np.float64)
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name} holds a NaN or an infinity")
+    return float(array) if shape == () else array
+
+
+def _load_naive_bayes(parameters, schema):
+    mask = schema.binary_mask()
+    if not np.array_equal(_numbers(parameters["binary_mask"], "binary_mask",
+                                   mask.shape), mask):
+        raise ValueError("binary_mask differs from the schema's dummy columns")
+    widths = {"bernoulli_p": int(mask.sum()), "gauss_mean": int((~mask).sum()),
+              "gauss_var": int((~mask).sum())}
+    loaded = {"binary_mask": parameters["binary_mask"]}
+    for cls in ("class_0", "class_1"):
+        p = parameters[cls]
+        loaded[cls] = {"prior": _numbers(p["prior"], f"{cls}.prior")}
+        for key, width in widths.items():
+            loaded[cls][key] = _numbers(p[key], f"{cls}.{key}", (width,))
+    return loaded
+
+
+def _load_linear(parameters, schema):
+    shapes = {"weights": (schema.total_columns,), "bias": (),
+              "platt_a": (), "platt_b": ()}  # the last two for the SVM
+    return {key: _numbers(parameters[key], key, shape)
+            for key, shape in shapes.items() if key in parameters}
+
+
+def _load_mlp(parameters, schema):
+    sizes = (schema.total_columns, *mlp.HIDDEN_UNITS, 1)
+    layers = parameters["layers"]
+    if len(layers) != len(sizes) - 1:
+        raise ValueError(f"mlp has {len(layers)} layers, not {len(sizes) - 1}")
+    return {"layers": [
+        [_numbers(W, f"layer {i} W", (fan_in, fan_out)),
+         _numbers(b, f"layer {i} b", (fan_out,))]
+        for i, ((W, b), fan_in, fan_out) in enumerate(zip(layers, sizes, sizes[1:]))]}
+
+
+def _load_random_forest(parameters, schema):
+    return tree.load_table(parameters, schema.total_columns)
+
+
+def _load_gradient_boosting(parameters, schema):
+    return {"base_score": _numbers(parameters["base_score"], "base_score"),
+            "shrinkage": _numbers(parameters["shrinkage"], "shrinkage"),
+            **tree.load_table(parameters, schema.total_columns)}
 
 
 # In the order ``--kind all`` trains them.
 CLASSIFIERS = {
     "naive_bayes": Classifier(
         _train_naive_bayes, naive_bayes.predict_naive_bayes,
-        ("binary_mask", "class_0", "class_1")),
+        ("binary_mask", "class_0", "class_1"), _load_naive_bayes),
     "gradient_boosting": Classifier(
         _without_schema(ensemble.train_gradient_boosting),
         ensemble.predict_gradient_boosting,
-        ("base_score", "shrinkage", *tree.TABLE_KEYS), _load_node_table),
+        ("base_score", "shrinkage", *tree.TABLE_KEYS), _load_gradient_boosting),
     "linear_svm": Classifier(
         _without_schema(linear.train_linear_svm), linear.predict_linear_svm,
-        ("weights", "bias", "platt_a", "platt_b")),
+        ("weights", "bias", "platt_a", "platt_b"), _load_linear),
     "logistic_regression": Classifier(
         _without_schema(linear.train_logistic), linear.predict_logistic,
-        ("weights", "bias")),
+        ("weights", "bias"), _load_linear),
     "random_forest": Classifier(
         _without_schema(ensemble.train_random_forest),
-        ensemble.predict_random_forest, tree.TABLE_KEYS, _load_node_table),
+        ensemble.predict_random_forest, tree.TABLE_KEYS, _load_random_forest),
     "mlp": Classifier(
-        _without_schema(mlp.train_mlp), mlp.predict_mlp, ("layers",)),
+        _without_schema(mlp.train_mlp), mlp.predict_mlp, ("layers",), _load_mlp),
 }
 KINDS = list(CLASSIFIERS)
 
@@ -239,8 +292,7 @@ def deserialize(doc: dict) -> ModelDocument:
         if missing:
             raise CorruptDocument(
                 f"{spec.kind} model document parameters lack {', '.join(missing)}")
-        if classifier.load is not None:
-            parameters = classifier.load(parameters, schema)
+        parameters = classifier.load(parameters, schema)
         model = TrainedClassifier(
             spec=spec, parameters=parameters, schema=schema,
             training_rows=int(doc["training_rows"]))

@@ -17,18 +17,13 @@ def sigmoid(z):
     return out
 
 
-# A logistic fit has converged once the gradient norm of the mean loss is
-# at most GRADIENT_TOL and the Newton step moves no parameter by more than
+# A Newton fit has converged once the gradient norm of the mean loss is at
+# most GRADIENT_TOL and the Newton step moves no parameter by more than
 # STEP_TOL (relative to the largest parameter when that exceeds 1).
 GRADIENT_TOL = 1e-8
 STEP_TOL = 1e-6
 MAX_NEWTON_STEPS = 100
 _EPS = np.finfo(np.float64).eps
-
-
-def _bce_loss(z, y):
-    # mean binary cross entropy from logits: softplus(z) - y*z
-    return float(np.mean(np.logaddexp(0.0, z) - y * z))
 
 
 def _backtrack(objective, loss, slope, noise):
@@ -47,20 +42,20 @@ def _backtrack(objective, loss, slope, noise):
     return None
 
 
-def fit_logistic(X, y, lam):
-    """Damped Newton (IRLS) on the L2-regularized mean logistic loss.
+def _fit_newton(X, terms, lam, name):
+    """Damped Newton on ``mean(loss(z)) + lam/2 * |w|^2`` over ``z = X @ w
+    + b``; the bias is not regularized. ``terms(z)`` returns the mean loss
+    and, per row, its first and second derivatives ``g`` and ``h`` in ``z``.
 
-    Minimizes ``mean(softplus(z) - y*z) + lam/2 * |w|^2`` over ``z = X @ w
-    + b``; the bias is not regularized. Each step solves the (d+1)-square
-    Newton system and backtracks from the full step (Minka 2003). The fit
-    is converged when the gradient norm is at most ``GRADIENT_TOL`` and the
-    Newton step at most ``STEP_TOL``: on separable classes without L2 the
-    gradient vanishes while the weights grow without bound, so a small
-    gradient alone does not mean an optimum. Raises ``NonConvergence``,
-    naming the final gradient norm, after ``MAX_NEWTON_STEPS`` steps, on a
-    Hessian that is singular to rounding (``lam=0`` with a constant or
-    collinear column), when the line search fails and on a non-finite
-    loss. Deterministic for a given input.
+    Each step solves the (d+1)-square Newton system and backtracks from the
+    full step. The fit is converged when the gradient norm is at most
+    ``GRADIENT_TOL`` and the Newton step at most ``STEP_TOL``: on separable
+    classes without L2 the gradient vanishes while the weights grow without
+    bound, so a small gradient alone does not mean an optimum. Raises
+    ``NonConvergence``, naming the final gradient norm, after
+    ``MAX_NEWTON_STEPS`` steps, on a Hessian that is singular to rounding
+    (``lam=0`` with a constant or collinear column), when the line search
+    fails and on a non-finite loss. Deterministic for a given input.
     """
     n, d = X.shape
     A = np.empty((n, d + 1))
@@ -71,20 +66,19 @@ def fit_logistic(X, y, lam):
     reg[d] = 0.0
 
     def objective(theta):
-        z = A @ theta
-        return _bce_loss(z, y) + 0.5 * float(reg @ (theta * theta)), z, theta
+        loss, g, h = terms(A @ theta)
+        return loss + 0.5 * float(reg @ (theta * theta)), g, h, theta
 
-    loss, z, theta = objective(np.zeros(d + 1))
+    loss, g, h, theta = objective(np.zeros(d + 1))
     gnorm, moved = float("nan"), 0.0
     failure = f"no optimum within {MAX_NEWTON_STEPS} Newton steps"
     for _ in range(MAX_NEWTON_STEPS):
-        p = sigmoid(z)
-        grad = A.T @ (p - y) / n + reg * theta
+        grad = A.T @ g / n + reg * theta
         gnorm = float(np.sqrt(grad @ grad))
         if not np.isfinite(loss + gnorm):
             failure = "non-finite loss"
             break
-        hess = (A.T * (p * (1.0 - p))) @ A / n
+        hess = (A.T * h) @ A / n
         hess[np.diag_indices(d + 1)] += reg
         step = _newton_step(hess, grad)
         if step is None:
@@ -94,20 +88,46 @@ def fit_logistic(X, y, lam):
         if (gnorm <= GRADIENT_TOL
                 and moved <= STEP_TOL * max(1.0, float(np.max(np.abs(theta))))):
             return theta[:d], float(theta[d])
-        # each logit is off by up to eps * sum_j |A_ij theta_j|, and the
-        # loss moves by at most that much per unit change of a logit
-        noise = _EPS * float(np.mean(abs_A @ np.abs(theta)))
+        # each logit is off by up to eps * sum_j |A_ij theta_j|, and a
+        # row's loss moves by at most max(1, |g|) per unit change of its
+        # logit: 1 bounds the logistic slope, |g| is the squared hinge's
+        noise = _EPS * float(np.mean(np.maximum(np.abs(g), 1.0)
+                                     * (abs_A @ np.abs(theta))))
         state = _backtrack(lambda t: objective(theta - t * step),
                            loss, -float(grad @ step), noise)
         if state is None:
             failure = "line search failed"
             break
-        loss, z, theta = state
+        loss, g, h, theta = state
     hint = ("; without l2, separable classes or a constant or collinear "
             "column leave no unique optimum" if lam == 0 else "")
     raise NonConvergence(
-        f"logistic fit failed ({failure}): gradient norm {gnorm:.3g}, last "
+        f"{name} fit failed ({failure}): gradient norm {gnorm:.3g}, last "
         f"Newton step {moved:.3g}, loss {loss:.6g}{hint}")
+
+
+def fit_logistic(X, y, lam):
+    """``_fit_newton`` (IRLS, Minka 2003) on the logistic loss."""
+
+    def terms(z):
+        p = sigmoid(z)
+        loss = float(np.mean(np.logaddexp(0.0, z) - y * z))
+        return loss, p - y, p * (1.0 - p)
+
+    return _fit_newton(X, terms, lam, "logistic")
+
+
+def fit_squared_hinge(X, y, lam):
+    """``_fit_newton`` on the squared hinge ``max(0, 1 - s*z)^2``, ``s = 2y
+    - 1``, LIBLINEAR's default linear SVM loss, with the generalized
+    Hessian over the rows inside the margin (Keerthi & DeCoste 2005)."""
+    s = 2.0 * y - 1.0
+
+    def terms(z):
+        slack = np.maximum(1.0 - s * z, 0.0)
+        return float(np.mean(slack * slack)), -2.0 * s * slack, 2.0 * (slack > 0.0)
+
+    return _fit_newton(X, terms, lam, "linear SVM")
 
 
 def _newton_step(hess, grad):
@@ -142,7 +162,7 @@ def predict_logistic(params, X):
     return sigmoid(X @ np.asarray(params["weights"]) + params["bias"])
 
 
-def _fit_platt(scores, y, max_iter=100):
+def _fit_platt(scores, y):
     """Platt scaling: fit p = sigmoid(-(A*s + B)) by Newton's method with
     backtracking (Lin, Lin & Weng 2007).
 
@@ -151,7 +171,7 @@ def _fit_platt(scores, y, max_iter=100):
     diagonal keeps the 2x2 system solvable when all scores are equal. Stops
     once a Newton step moves A and B by less than 1e-12; raises
     ``NonConvergence`` when the Hessian is singular to rounding, when the
-    line search fails or after ``max_iter`` steps.
+    line search fails or after ``MAX_NEWTON_STEPS`` steps.
     """
     n_pos = float(np.sum(y == 1))
     n_neg = float(len(y) - n_pos)
@@ -166,7 +186,7 @@ def _fit_platt(scores, y, max_iter=100):
         return float(np.sum(t * z + np.logaddexp(0.0, -z))), z, A, B
 
     loss, z, A, B = objective(0.0, np.log((n_neg + 1.0) / (n_pos + 1.0)))
-    for _ in range(max_iter):
+    for _ in range(MAX_NEWTON_STEPS):
         p = sigmoid(-z)
         d1 = t - p
         g_a = float(np.sum(d1 * scores))
@@ -193,35 +213,13 @@ def _fit_platt(scores, y, max_iter=100):
         if abs(dA) < 1e-12 and abs(dB) < 1e-12:
             return A, B
     raise NonConvergence(
-        f"Platt scaling did not converge in {max_iter} Newton steps: "
+        f"Platt scaling did not converge in {MAX_NEWTON_STEPS} Newton steps: "
         f"gradient ({g_a:.3g}, {g_b:.3g}), last step ({dA:.3g}, {dB:.3g})")
 
 
 def train_linear_svm(X, y, hp, seed):
-    """Pegasos-style stochastic subgradient descent on the hinge loss."""
-    n, d = X.shape
-    lam = hp["l2"]
-    epochs = hp["epochs"]
-    # row views and Python-float signs: indexing an array per step costs
-    # more than the step's arithmetic
-    rows = list(X)
-    signs = np.where(y == 1, 1.0, -1.0).tolist()
-    rng = np.random.default_rng(seed)
-    w = np.zeros(d)
-    b = 0.0
-    t = 0
-    for _ in range(epochs):
-        for i in rng.permutation(n).tolist():
-            t += 1
-            eta = 1.0 / (lam * t)
-            sign, row = signs[i], rows[i]
-            margin = sign * (float(row @ w) + b)
-            w *= 1.0 - eta * lam
-            if margin < 1.0:
-                w += eta * sign * row
-                b += eta * sign
-    scores = X @ w + b
-    A, B = _fit_platt(scores, y)
+    w, b = fit_squared_hinge(X, y, lam=hp["l2"])
+    A, B = _fit_platt(X @ w + b, y)
     return {"weights": w, "bias": b, "platt_a": A, "platt_b": B}
 
 

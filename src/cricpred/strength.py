@@ -2,9 +2,11 @@
 
 Two ledger modes are supported. ``per_season`` assigns one weight per
 (team, season) from full-season aggregates. ``per_match`` recomputes the
-weight before every match from the matches completed so far, pro-rating the
-per-season player statistics; it never looks at the match being predicted or
-anything later.
+weight before every match from the number of decisive matches the team has
+completed so far, pro-rating each player's full-season statistics to that
+count. Dropping later matches from the match list leaves a match's weight
+unchanged, but neither mode is causal: both read end-of-season player
+totals, which include the match being predicted and later ones.
 """
 
 from __future__ import annotations
@@ -162,10 +164,11 @@ def build_ledger(points_model: PointsModel, performances, dataset: MatchDataset,
                 entries[(team, season)] = _season_weight(points_model, roster, appearances)
         return TeamWeightLedger(mode=PER_SEASON, entries=entries)
 
-    # per_match: weights from strictly earlier matches within the season.
-    # Cold start uses the team's most recent prior-season weight, then the
-    # league median of the season's roster-proxy weights (both are
-    # independent of the current season's match list, preserving causality).
+    # per_match: weights pro-rated to the team's strictly earlier decisive
+    # matches within the season. Cold start uses the team's most recent
+    # prior-season weight, then the league median of the season's
+    # roster-proxy weights, which are built from the current season's
+    # full-season rosters.
     season_weights = {}
     for season, teams in season_teams.items():
         for team in sorted(teams):

@@ -6,10 +6,16 @@ import pytest
 from cricpred.errors import InvalidHyperparameter, NonConvergence, SingleClassData
 from cricpred.features import RFE_L2, EncodedDataset, _standardize
 from cricpred.models import make_spec, mlp_loss_and_gradient, serialize, train
-from cricpred.models.linear import GRADIENT_TOL, _fit_platt, fit_logistic, sigmoid
+from cricpred.models.linear import (
+    GRADIENT_TOL,
+    _fit_platt,
+    fit_logistic,
+    fit_squared_hinge,
+    sigmoid,
+)
 from cricpred.models.mlp import HIDDEN_UNITS, flatten, init_params, unflatten
 
-from conftest import match_like_schema, separable_dataset
+from conftest import fixture_dataset, match_like_schema, separable_dataset
 from test_features import planted_signal_dataset
 
 ALL_KINDS = ["naive_bayes", "gradient_boosting", "linear_svm",
@@ -53,6 +59,8 @@ class TestTrain:
             make_spec("random_forest", n_trees=0)
         with pytest.raises(InvalidHyperparameter):
             make_spec("logistic_regression", bogus=1)
+        with pytest.raises(InvalidHyperparameter):
+            make_spec("linear_svm", epochs=200)
         with pytest.raises(InvalidHyperparameter):
             make_spec("not_a_kind")
 
@@ -192,6 +200,19 @@ def logistic_gradient_norm(X, y, lam, w, b):
     return float(np.linalg.norm(grad))
 
 
+def squared_hinge_gradient_norm(X, y, lam, w, b):
+    """Norm of the gradient of the mean L2-regularized squared hinge."""
+    s = 2.0 * y - 1.0
+    g = -2.0 * s * np.maximum(1.0 - s * (X @ w + b), 0.0)
+    grad = np.append(X.T @ g / len(y) + lam * w, np.mean(g))
+    return float(np.linalg.norm(grad))
+
+
+# each Newton fit with the gradient norm of the objective it minimizes
+NEWTON_FITS = [(fit_logistic, logistic_gradient_norm),
+               (fit_squared_hinge, squared_hinge_gradient_norm)]
+
+
 def noisy_rows(n=300, seed=0):
     """Three normal columns and labels drawn from a logistic model, so the
     classes overlap and the unregularized fit has a unique optimum."""
@@ -219,22 +240,35 @@ class TestNewtonSolvers:
         (planted_signal_dataset, True, RFE_L2),
         (planted_signal_dataset, False, 1e-4),
         (separable_dataset, False, 1e-4),
-        (separable_dataset, True, RFE_L2)])
+        (separable_dataset, True, RFE_L2),
+        (fixture_dataset, False, 1e-4)])
     def test_logistic_reaches_gradient_tolerance(self, dataset, standardize, lam):
+        # and the linear SVM's squared hinge: NEWTON_FITS
         data = dataset()
         X = _standardize(data.X) if standardize else data.X
         y = data.y.astype(float)
-        w, b = fit_logistic(X, y, lam=lam)
-        assert logistic_gradient_norm(X, y, lam, w, b) <= GRADIENT_TOL
+        for fit, gradient_norm in NEWTON_FITS:
+            w, b = fit(X, y, lam=lam)
+            assert gradient_norm(X, y, lam, w, b) <= GRADIENT_TOL
 
     @pytest.mark.parametrize("seed", range(10))
     def test_logistic_converges_on_badly_scaled_columns(self, seed):
         # near the optimum the gain of a step is below the rounding of the
         # loss; the line search must still take it
         X, y = badly_scaled_rows(seed)
-        for lam in (1e-2, 1e-4):
-            w, b = fit_logistic(X, y, lam=lam)
-            assert logistic_gradient_norm(X, y, lam, w, b) <= GRADIENT_TOL
+        for fit, gradient_norm in NEWTON_FITS:
+            for lam in (1e-2, 1e-4):
+                w, b = fit(X, y, lam=lam)
+                assert gradient_norm(X, y, lam, w, b) <= GRADIENT_TOL
+
+    @pytest.mark.parametrize("fit", [fit for fit, _ in NEWTON_FITS],
+                             ids=lambda fit: fit.__name__)
+    def test_nan_row_raises(self, fit):
+        X, y = noisy_rows()
+        X[7, 1] = np.nan
+        with pytest.raises(NonConvergence, match="gradient norm"), \
+                np.errstate(invalid="ignore"):
+            fit(X, y, lam=1e-4)
 
     def test_unregularized_overlapping_classes_converge(self):
         X, y = noisy_rows()

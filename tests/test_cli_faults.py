@@ -12,6 +12,7 @@ import pytest
 
 from cricpred import errors
 from cricpred.cli import main
+from cricpred.models import KINDS
 
 from conftest import fixture_path
 
@@ -75,11 +76,10 @@ def model(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def ensembles(tmp_path_factory):
-    out = tmp_path_factory.mktemp("ensembles")
-    for kind in ENSEMBLES:
-        assert main(["train", *DATA, "--kind", kind, "--out-dir", str(out)]) == 0
-    return {kind: str(out / f"model_{kind}.json") for kind in ENSEMBLES}
+def documents(tmp_path_factory):
+    out = tmp_path_factory.mktemp("documents")
+    assert main(["train", *DATA, "--kind", "all", "--out-dir", str(out)]) == 0
+    return {kind: str(out / f"model_{kind}.json") for kind in KINDS}
 
 
 # (id, expected exit code, argparse usage error?, argv from (tmp_path, model))
@@ -219,11 +219,38 @@ TABLE_FAULTS = [child_out_of_range, cycle, feature_out_of_range, unequal_lengths
 @pytest.mark.parametrize("command", ["predict", "report"])
 @pytest.mark.parametrize("fault", TABLE_FAULTS, ids=lambda f: f.__name__)
 @pytest.mark.parametrize("kind", ENSEMBLES)
-def test_corrupt_node_table_exit_3(capsys, tmp_path, ensembles, kind, fault,
+def test_corrupt_node_table_exit_3(capsys, tmp_path, documents, kind, fault,
                                    command):
-    path = edited(tmp_path, ensembles[kind], lambda d: fault(d["parameters"]))
+    path = edited(tmp_path, documents[kind], lambda d: fault(d["parameters"]))
     argv = predict(path) if command == "predict" else report(tmp_path, path)
     assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
+# (id, kind, edit of the document's parameters): parameters of the wrong
+# shape or type, or not finite
+PARAMETER_FAULTS = [
+    ("logistic-weight-dropped", "logistic_regression",
+     lambda p: p["weights"].pop()),
+    ("logistic-bias-nan", "logistic_regression",
+     lambda p: p.update(bias=float("nan"))),
+    ("boosting-shrinkage-string", "gradient_boosting",
+     lambda p: p.update(shrinkage="x")),
+    ("svm-bias-string", "linear_svm", lambda p: p.update(bias="x")),
+    ("naive-bayes-bernoulli-entry-dropped", "naive_bayes",
+     lambda p: p["class_1"]["bernoulli_p"].pop()),
+    ("naive-bayes-mask-entry-dropped", "naive_bayes",
+     lambda p: p["binary_mask"].pop()),
+    ("mlp-first-layer-dropped", "mlp", lambda p: p["layers"].pop(0)),
+]
+
+
+@pytest.mark.parametrize("kind, fault", [f[1:] for f in PARAMETER_FAULTS],
+                         ids=[f[0] for f in PARAMETER_FAULTS])
+def test_corrupt_parameters_exit_3(capsys, tmp_path, documents, kind, fault):
+    path = edited(tmp_path, documents[kind], lambda d: fault(d["parameters"]))
+    assert main(predict(path)) == 3
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
 
