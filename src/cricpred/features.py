@@ -221,20 +221,14 @@ def _subset_cv_accuracy(X, y, seed, folds=5):
     return correct / len(y)
 
 
-def _rank_once(X, y, schema, seed):
-    """One full elimination pass; returns (ranking best-first, subset scores)."""
+def _rank_once(X, y, schema):
+    """One full elimination pass; returns the ranking, best first."""
     slices = schema.group_slices()
     remaining = schema.feature_names()
     eliminated = []
-    scores = []
-    while remaining:
+    while len(remaining) > 1:
         cols = [c for f in remaining for c in range(*slices[f])]
-        Xs = _standardize(X[:, cols])
-        scores.append((len(remaining), _subset_cv_accuracy(Xs, y, seed)))
-        if len(remaining) == 1:
-            eliminated.append(remaining.pop())
-            break
-        w, _ = fit_logistic(Xs, y, lam=RFE_L2)
+        w, _ = fit_logistic(_standardize(X[:, cols]), y, lam=RFE_L2)
         importances = []
         pos = 0
         for f in remaining:
@@ -244,7 +238,20 @@ def _rank_once(X, y, schema, seed):
         victim = remaining[int(np.argmin(importances))]
         remaining.remove(victim)
         eliminated.append(victim)
-    return list(reversed(eliminated)), scores
+    return remaining + list(reversed(eliminated))
+
+
+def _prefix_scores(X, y, schema, ranking, seed):
+    """(size, CV accuracy) of each prefix of ``ranking``, longest first,
+    with the prefix's columns in schema order."""
+    slices = schema.group_slices()
+    scores = []
+    for size in range(len(ranking), 0, -1):
+        kept = set(ranking[:size])
+        cols = [c for f in schema.feature_names() if f in kept
+                for c in range(*slices[f])]
+        scores.append((size, _subset_cv_accuracy(_standardize(X[:, cols]), y, seed)))
+    return scores
 
 
 def rfe_select(encoded: EncodedDataset, target_count: int, resamples: int = 5,
@@ -262,15 +269,16 @@ def rfe_select(encoded: EncodedDataset, target_count: int, resamples: int = 5,
     if not 1 <= target_count <= n_features:
         raise TargetTooLarge(
             f"target_count {target_count} outside [1, {n_features}]")
-    ranking, scores = _rank_once(encoded.X, encoded.y, encoded.schema, seed)
+    ranking = _rank_once(encoded.X, encoded.y, encoded.schema)
+    scores = _prefix_scores(encoded.X, encoded.y, encoded.schema, ranking, seed)
     selected = tuple(ranking[:target_count])
     resample_selected = []
     agree = 0
     for r in range(resamples):
         rng = np.random.default_rng([seed, r])
         sample = rng.integers(0, encoded.X.shape[0], size=encoded.X.shape[0])
-        r_ranking, _ = _rank_once(encoded.X[sample], encoded.y[sample],
-                                  encoded.schema, seed)
+        r_ranking = _rank_once(encoded.X[sample], encoded.y[sample],
+                               encoded.schema)
         picked = tuple(r_ranking[:target_count])
         resample_selected.append(picked)
         if set(picked) == set(selected):

@@ -3,6 +3,7 @@ plus the JSON model-document format."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from dataclasses import dataclass, field
@@ -116,15 +117,22 @@ def _train_naive_bayes(X, y, hp, seed, schema):
     return naive_bayes.train_naive_bayes(X, y, hp, seed, schema.binary_mask())
 
 
-def _numbers(value, name, shape=()):
-    """``value`` as float64 numbers of ``shape``, a float for ``()``.
-    Raises ValueError unless it holds finite JSON numbers (not strings,
-    booleans, nulls, NaN or infinities) in exactly that shape."""
-    array = np.asarray(value)
-    if array.dtype.kind not in "iuf" or array.shape != shape:
-        raise ValueError(f"{name} holds {array.dtype} of shape {array.shape}, "
-                         f"not numbers of shape {shape}")
-    array = array.astype(np.float64)
+def _numbers(value, name, shape=(), dtype=np.float64):
+    """``value`` as an array of ``dtype`` and ``shape``, a float for ``()``.
+    Raises ValueError unless it is nested lists of exactly that shape
+    holding finite JSON numbers (not strings, booleans, nulls, NaN or
+    infinities), and only integers for an integer ``dtype``."""
+    flat = [value]
+    for size in shape:
+        if any(type(v) is not list or len(v) != size for v in flat):
+            raise ValueError(f"{name} is not a list of shape {shape}")
+        flat = flat[0] if len(flat) == 1 else list(itertools.chain.from_iterable(flat))
+    allowed = {int} if dtype == np.int64 else {int, float}
+    wrong = set(map(type, flat)) - allowed
+    if wrong:
+        raise ValueError(f"{name} holds {', '.join(sorted(t.__name__ for t in wrong))}, "
+                         f"not {'integers' if dtype == np.int64 else 'numbers'}")
+    array = np.fromiter(flat, dtype, count=len(flat)).reshape(shape)
     if not np.isfinite(array).all():
         raise ValueError(f"{name} holds a NaN or an infinity")
     return float(array) if shape == () else array
@@ -143,6 +151,11 @@ def _load_naive_bayes(parameters, schema):
         loaded[cls] = {"prior": _numbers(p["prior"], f"{cls}.prior")}
         for key, width in widths.items():
             loaded[cls][key] = _numbers(p[key], f"{cls}.{key}", (width,))
+        c = loaded[cls]
+        if not (0 < c["prior"] < 1 and (c["gauss_var"] > 0).all()
+                and ((0 < c["bernoulli_p"]) & (c["bernoulli_p"] < 1)).all()):
+            raise ValueError(f"{cls} needs 0 < prior < 1, 0 < bernoulli_p < 1 "
+                             "and gauss_var > 0")
     return loaded
 
 
@@ -164,14 +177,17 @@ def _load_mlp(parameters, schema):
         for i, ((W, b), fan_in, fan_out) in enumerate(zip(layers, sizes, sizes[1:]))]}
 
 
-def _load_random_forest(parameters, schema):
-    return tree.load_table(parameters, schema.total_columns)
+def _load_table(parameters, schema):
+    table = {key: _numbers(parameters[key], key, (len(parameters[key]),),
+                           tree.TABLE_DTYPES[key]) for key in tree.TABLE_KEYS}
+    tree.check_table(table, schema.total_columns)
+    return table
 
 
 def _load_gradient_boosting(parameters, schema):
     return {"base_score": _numbers(parameters["base_score"], "base_score"),
             "shrinkage": _numbers(parameters["shrinkage"], "shrinkage"),
-            **tree.load_table(parameters, schema.total_columns)}
+            **_load_table(parameters, schema)}
 
 
 # In the order ``--kind all`` trains them.
@@ -191,7 +207,7 @@ CLASSIFIERS = {
         ("weights", "bias"), _load_linear),
     "random_forest": Classifier(
         _without_schema(ensemble.train_random_forest),
-        ensemble.predict_random_forest, tree.TABLE_KEYS, _load_random_forest),
+        ensemble.predict_random_forest, tree.TABLE_KEYS, _load_table),
     "mlp": Classifier(
         _without_schema(mlp.train_mlp), mlp.predict_mlp, ("layers",), _load_mlp),
 }

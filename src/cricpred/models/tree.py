@@ -133,12 +133,12 @@ def fit_regression_tree(X, grad, hess, min_leaf=1, max_depth=3):
 
 
 TABLE_KEYS = ("roots", "feature", "threshold", "left", "right", "value")
-_DTYPES = {"roots": np.int64, "feature": np.int64, "threshold": np.float64,
-           "left": np.int64, "right": np.int64, "value": np.float64}
+TABLE_DTYPES = {"roots": np.int64, "feature": np.int64, "threshold": np.float64,
+                "left": np.int64, "right": np.int64, "value": np.float64}
 
 
 def _arrays(lists):
-    return {k: np.fromiter(lists[k], dtype=_DTYPES[k]) for k in TABLE_KEYS}
+    return {k: np.fromiter(lists[k], dtype=TABLE_DTYPES[k]) for k in TABLE_KEYS}
 
 
 def flatten(trees):
@@ -165,15 +165,14 @@ def flatten(trees):
     return _arrays(table)
 
 
-def load_table(lists, n_columns):
-    """The node table held as lists in ``lists`` (a model document's
-    parameters), converted to arrays. Raises ValueError unless the table
-    has at least one tree, its node arrays are of one length, every root
-    is a node, every node's ``feature`` is a column below ``n_columns``,
-    and every node either is a leaf (``left`` and ``right`` are itself) or
-    has both children past itself and inside the table. The last condition
-    rules out cycles, so every descent ends at a leaf."""
-    table = _arrays(lists)
+def check_table(table, n_columns):
+    """Raises ValueError unless the node ``table`` (arrays keyed by
+    ``TABLE_KEYS``) has at least one tree, its node arrays are of one
+    length, every root is a node, every node's ``feature`` is a column
+    below ``n_columns``, and every node either is a leaf (``left`` and
+    ``right`` are itself) or has both children past itself and inside the
+    table. The last condition rules out cycles, so every descent ends at a
+    leaf."""
     n = table["value"].size
     roots, feature, left, right = (table[k] for k in ("roots", "feature",
                                                       "left", "right"))
@@ -196,7 +195,6 @@ def load_table(lists, n_columns):
         i = int(bad.argmax())
         raise ValueError(f"node {i} has children {left[i]} and {right[i]}; "
                          f"they must both be itself or lie in ({i}, {n})")
-    return table
 
 
 def tree_predict_matrix(table, X):

@@ -1,16 +1,23 @@
 """Team strength: top-11 player points divided by team appearances.
 
-Two ledger modes are supported. ``per_season`` assigns one weight per
-(team, season) from full-season aggregates. ``per_match`` recomputes the
-weight before every match from the number of decisive matches the team has
-completed so far, pro-rating each player's full-season statistics to that
-count. Dropping later matches from the match list leaves a match's weight
-unchanged, but neither mode is causal: both read end-of-season player
-totals, which include the match being predicted and later ones.
+Both ledger modes start from one season weight per (team, season): the
+points of its 11 most-appearing players over its decisive matches that
+season. ``per_season`` uses that weight for every match of the season.
+``per_match`` gives a team, before each match, the weight after its ``k``
+strictly earlier decisive matches of the season: each player scores
+``points / max(appearances, k)`` (0.0 with no appearances), and the 11
+with the most ``min(appearances, k)`` are summed. With ``k = 0`` the team
+takes its latest earlier season weight or, in its first season, the
+median over the season's teams of their points over the most appearances
+of any of their players. Dropping later matches from the match list leaves
+a match's weight unchanged, but neither mode is causal: both read
+end-of-season player totals, which include the match being predicted and
+later ones.
 """
 
 from __future__ import annotations
 
+import bisect
 import statistics
 from dataclasses import dataclass, field
 
@@ -32,10 +39,15 @@ def team_weight(points_model: PointsModel, roster, team_appearances: int) -> flo
         raise EmptyRoster("roster is empty")
     if team_appearances < 1:
         raise ZeroAppearances(f"team_appearances must be >= 1, got {team_appearances}")
-    scored = [(p.appearances, score_player(points_model, p), p.player) for p in roster]
+    return _top_sum([(p.appearances, score_player(points_model, p), p.player)
+                     for p in roster]) / team_appearances
+
+
+def _top_sum(scored):
+    """Points summed over the first 11 of ``(appearances, points, player)``
+    tuples, ordered by most appearances, then higher points, then name."""
     scored.sort(key=lambda t: (-t[0], -t[1], t[2]))
-    total = sum(points for _, points, _ in scored[:TOP_PLAYERS])
-    return total / team_appearances
+    return sum(points for _, points, _ in scored[:TOP_PLAYERS])
 
 
 @dataclass(frozen=True)
@@ -101,39 +113,22 @@ def _roster_index(performances):
     return index
 
 
-def _season_appearance_counts(matches):
-    """Decisive matches played by each team, per season."""
-    counts = {}
-    for m in matches:
-        if not m.has_result:
-            continue
-        for team in (m.home_team, m.away_team):
-            counts[(team, m.season)] = counts.get((team, m.season), 0) + 1
-    return counts
+def _season_weight(points_model, roster, decisive):
+    """``team_weight`` over ``decisive`` matches. With none, the most any
+    player appeared, a lower bound on the team's matches, stands in."""
+    if decisive < 1:
+        decisive = max(1, max(p.appearances for p in roster))
+    return team_weight(points_model, roster, decisive)
 
 
-def _roster_proxy_appearances(roster):
-    # Fallback denominator when no decisive matches are available: the most
-    # any player appeared is a lower bound on the team's appearances.
-    return max(1, max(p.appearances for p in roster))
-
-
-def _season_weight(points_model, roster, appearances):
-    if appearances < 1:
-        appearances = _roster_proxy_appearances(roster)
-    return team_weight(points_model, roster, appearances)
-
-
-def _rolling_weight(points_model, roster, matches_so_far):
-    """Pro-rated weight: per-season statistics scaled to the season so far."""
-    scored = []
-    for p in roster:
-        played = min(p.appearances, matches_so_far)
-        frac = played / p.appearances if p.appearances > 0 else 0.0
-        scored.append((played, score_player(points_model, p) * frac, p.player))
-    scored.sort(key=lambda t: (-t[0], -t[1], t[2]))
-    total = sum(points for _, points, _ in scored[:TOP_PLAYERS])
-    return total / matches_so_far
+def _rolling_weight(points_model, roster, k):
+    """Pro-rated weight after ``k`` decisive matches: the top-11 sum of
+    ``points / max(appearances, k)``, ranked by ``min(appearances, k)``."""
+    return _top_sum([
+        (min(p.appearances, k),
+         score_player(points_model, p) / max(p.appearances, k) if p.appearances > 0 else 0.0,
+         p.player)
+        for p in roster])
 
 
 def build_ledger(points_model: PointsModel, performances, dataset: MatchDataset,
@@ -142,74 +137,41 @@ def build_ledger(points_model: PointsModel, performances, dataset: MatchDataset,
     if mode not in (PER_SEASON, PER_MATCH):
         raise ValueError(f"unknown ledger mode {mode!r}")
     rosters = _roster_index(performances)
-    appearance_counts = _season_appearance_counts(dataset.matches)
-
-    season_teams = {}
+    dates, decisive = {}, {}  # (team, season) -> all / decisive match dates
     for m in dataset.matches:
         for team in (m.home_team, m.away_team):
-            season_teams.setdefault(m.season, set()).add(team)
+            dates.setdefault((team, m.season), set()).add(m.date)
+            played = decisive.setdefault((team, m.season), [])
+            if m.has_result:
+                played.append(m.date)
 
-    def roster_of(team, season):
+    season_weights = {}
+    for team, season in sorted(dates, key=lambda key: (key[1], key[0])):
         roster = rosters.get((team, season))
         if not roster:
             raise MissingRoster(f"no performance rows for team {team} in season {season}")
-        return roster
-
+        season_weights[(team, season)] = _season_weight(
+            points_model, roster, len(decisive[(team, season)]))
     if mode == PER_SEASON:
-        entries = {}
-        for season, teams in season_teams.items():
-            for team in sorted(teams):
-                roster = roster_of(team, season)
-                appearances = appearance_counts.get((team, season), 0)
-                entries[(team, season)] = _season_weight(points_model, roster, appearances)
-        return TeamWeightLedger(mode=PER_SEASON, entries=entries)
+        return TeamWeightLedger(mode=PER_SEASON, entries=season_weights)
 
-    # per_match: weights pro-rated to the team's strictly earlier decisive
-    # matches within the season. Cold start uses the team's most recent
-    # prior-season weight, then the league median of the season's
-    # roster-proxy weights, which are built from the current season's
-    # full-season rosters.
-    season_weights = {}
-    for season, teams in season_teams.items():
-        for team in sorted(teams):
-            roster = rosters.get((team, season))
-            if roster:
-                appearances = appearance_counts.get((team, season), 0)
-                season_weights[(team, season)] = _season_weight(
-                    points_model, roster, appearances)
-
+    # Cold start (k = 0); the roster proxies use the current season's rosters.
     def cold_start(team, season):
-        prior = sorted(s for t, s in season_weights if t == team and s < season)
+        prior = [s for t, s in season_weights if t == team and s < season]
         if prior:
-            return season_weights[(team, prior[-1])]
-        proxies = []
-        for other in season_teams[season]:
-            roster = rosters.get((other, season))
-            if roster:
-                proxies.append(team_weight(
-                    points_model, roster, _roster_proxy_appearances(roster)))
-        if not proxies:
-            raise MissingRoster(f"no rosters available in season {season}")
-        return statistics.median(proxies)
+            return season_weights[(team, max(prior))]
+        return statistics.median(_season_weight(points_model, rosters[key], 0)
+                                 for key in season_weights if key[1] == season)
 
     entries, seasons = {}, {}
-    team_dates = {}
-    decisive_dates = {}
-    for m in dataset.matches:
-        for team in (m.home_team, m.away_team):
-            team_dates.setdefault((team, m.season), set()).add(m.date)
-            if m.has_result:
-                decisive_dates.setdefault((team, m.season), []).append(m.date)
-
-    for (team, season), dates in team_dates.items():
-        roster = roster_of(team, season)
-        played = sorted(decisive_dates.get((team, season), []))
-        for date in sorted(dates):
-            so_far = sum(1 for d in played if d < date)
-            if so_far == 0:
-                weight = cold_start(team, season)
+    for (team, season), team_dates in dates.items():
+        played = sorted(decisive[(team, season)])
+        for date in sorted(team_dates):
+            so_far = bisect.bisect_left(played, date)
+            if so_far:
+                weight = _rolling_weight(points_model, rosters[(team, season)], so_far)
             else:
-                weight = _rolling_weight(points_model, roster, so_far)
+                weight = cold_start(team, season)
             entries[(team, date)] = weight
             seasons[(team, date)] = season
     return TeamWeightLedger(mode=PER_MATCH, entries=entries, seasons=seasons)

@@ -213,7 +213,25 @@ def unequal_lengths(p):
     del p["threshold"][-1]
 
 
-TABLE_FAULTS = [child_out_of_range, cycle, feature_out_of_range, unequal_lengths]
+def leaf_value_nan(p):
+    leaf = next(i for i, child in enumerate(p["left"]) if child == i)
+    p["value"][leaf] = float("nan")
+
+
+def threshold_nan(p):
+    p["threshold"][internal(p)[0]] = float("nan")
+
+
+def feature_fraction(p):
+    p["feature"][internal(p)[0]] += 0.5
+
+
+def boolean_root(p):
+    p["roots"][0] = True
+
+
+TABLE_FAULTS = [child_out_of_range, cycle, feature_out_of_range, unequal_lengths,
+                leaf_value_nan, threshold_nan, feature_fraction, boolean_root]
 
 
 @pytest.mark.parametrize("command", ["predict", "report"])
@@ -229,7 +247,7 @@ def test_corrupt_node_table_exit_3(capsys, tmp_path, documents, kind, fault,
 
 
 # (id, kind, edit of the document's parameters): parameters of the wrong
-# shape or type, or not finite
+# shape or type, not finite, or out of range
 PARAMETER_FAULTS = [
     ("logistic-weight-dropped", "logistic_regression",
      lambda p: p["weights"].pop()),
@@ -243,6 +261,10 @@ PARAMETER_FAULTS = [
     ("naive-bayes-mask-entry-dropped", "naive_bayes",
      lambda p: p["binary_mask"].pop()),
     ("mlp-first-layer-dropped", "mlp", lambda p: p["layers"].pop(0)),
+    ("naive-bayes-bernoulli-above-1", "naive_bayes",
+     lambda p: p["class_0"]["bernoulli_p"].__setitem__(0, 2.0)),
+    ("naive-bayes-prior-negative", "naive_bayes",
+     lambda p: p["class_1"].update(prior=-0.5)),
 ]
 
 

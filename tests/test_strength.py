@@ -1,4 +1,6 @@
 import datetime as dt
+import hashlib
+import json
 
 import pytest
 
@@ -13,6 +15,8 @@ from cricpred.strength import (
     team_weight,
 )
 from cricpred.dataset import MatchRecord, load_matches, load_player_performances
+
+from conftest import fixture_path
 
 
 def player(name, appearances, dot_balls, season=2018, team="CSK", **stats):
@@ -170,6 +174,15 @@ class TestLedger:
             build_ledger(REFERENCE_POINTS_MODEL, players, dataset,
                          mode=PER_SEASON)
 
+    def test_missing_roster_per_match(self):
+        # BBB has a 2017 weight for the cold start, but no 2018 roster
+        dataset = two_team_dataset([(2017, 4), (2018, 4)])
+        players = [p for p in two_team_players([2017, 2018])
+                   if (p.team, p.season) != ("BBB", 2018)]
+        with pytest.raises(MissingRoster, match="BBB in season 2018"):
+            build_ledger(REFERENCE_POINTS_MODEL, players, dataset,
+                         mode=PER_MATCH)
+
     def test_ledger_miss(self):
         dataset = two_team_dataset([(2018, 4)])
         players = two_team_players([2018])
@@ -215,6 +228,19 @@ class TestLedger:
             for team in (m.home_team, m.away_team):
                 assert part.entries[(team, m.date)] == full.entries[(team, m.date)]
 
+    def test_per_match_weight_steady_while_top_players_cover_k(self):
+        # While every top-11 player has at least k appearances, each scores
+        # points / appearances whatever k is, so the weight is bit-identical
+        dataset = two_team_dataset([(2018, 14)])
+        players = [player(f"{team}P{i}", appearances=19, dot_balls=41 + 13 * i,
+                          wickets=i % 4, fours=i % 3, team=team)
+                   for team in ("AAA", "BBB") for i in range(11)]
+        ledger = build_ledger(REFERENCE_POINTS_MODEL, players, dataset,
+                              mode=PER_MATCH)
+        for team in ("AAA", "BBB"):
+            weights = {ledger.weight_for(team, m) for m in dataset.matches[1:]}
+            assert len(weights) == 1
+
     def test_rows_sorted(self):
         dataset = two_team_dataset([(2017, 4), (2018, 4)])
         players = two_team_players([2017, 2018])
@@ -233,3 +259,19 @@ class TestLedger:
             restored = TeamWeightLedger.from_dict(ledger.to_dict())
             assert restored.entries == ledger.entries
             assert restored.mode == ledger.mode
+
+
+# sha256 of the sorted-key JSON of the fixture's ``TeamWeightLedger.to_dict()``
+LEDGER_DIGESTS = {
+    PER_SEASON: "bb3bbbd8997f5074260ef011b75b5a0bb790c0ea577403cd48590ee036580083",
+    PER_MATCH: "2316f2b47771e549592a04b4b151b4912384f94a65c1f74eca550aa9ba0d56df",
+}
+
+
+@pytest.mark.parametrize("mode", list(LEDGER_DIGESTS))
+def test_fixture_ledger_digest(mode):
+    ledger = build_ledger(REFERENCE_POINTS_MODEL,
+                          load_player_performances(fixture_path("players.csv")),
+                          load_matches(fixture_path("matches.csv")), mode=mode)
+    blob = json.dumps(ledger.to_dict(), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == LEDGER_DIGESTS[mode]
