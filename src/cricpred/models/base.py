@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -25,10 +26,21 @@ from . import ensemble, linear, mlp, naive_bayes, tree
 FORMAT_VERSION = 2
 LABEL_CONVENTION = "1=home_team_win"
 
+
+def _integer(v):
+    """An int, and not a bool."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _real(v):
+    """A finite int or float, and not a bool."""
+    return _integer(v) or (isinstance(v, float) and math.isfinite(v))
+
+
 # (default, validator) per hyperparameter
-_POSITIVE = lambda v: v > 0  # noqa: E731
-_COUNT = lambda v: isinstance(v, int) and v >= 1  # noqa: E731
-_NONNEG = lambda v: v >= 0  # noqa: E731
+_POSITIVE = lambda v: _real(v) and v > 0  # noqa: E731
+_NONNEG = lambda v: _real(v) and v >= 0  # noqa: E731
+_COUNT = lambda v: _integer(v) and v >= 1  # noqa: E731
 
 DEFAULT_HYPERPARAMETERS = {
     "naive_bayes": {},
@@ -46,7 +58,7 @@ DEFAULT_HYPERPARAMETERS = {
     "random_forest": {
         "n_trees": (100, _COUNT),
         "min_leaf": (1, _COUNT),
-        "max_depth": (None, lambda v: v is None or (isinstance(v, int) and v >= 0)),
+        "max_depth": (None, lambda v: v is None or (_integer(v) and v >= 0)),
         "bootstrap": (True, lambda v: isinstance(v, bool)),
     },
     "mlp": {
@@ -184,6 +196,16 @@ def _load_table(parameters, schema):
     return table
 
 
+def _load_random_forest(parameters, schema):
+    table = _load_table(parameters, schema)
+    outside = (table["value"] < 0.0) | (table["value"] > 1.0)
+    if outside.any():
+        i = int(outside.argmax())
+        raise ValueError(f"node {i} holds value {table['value'][i]}; a forest's "
+                         "values are class-1 proportions, from 0 to 1")
+    return table
+
+
 def _load_gradient_boosting(parameters, schema):
     return {"base_score": _numbers(parameters["base_score"], "base_score"),
             "shrinkage": _numbers(parameters["shrinkage"], "shrinkage"),
@@ -207,7 +229,7 @@ CLASSIFIERS = {
         ("weights", "bias"), _load_linear),
     "random_forest": Classifier(
         _without_schema(ensemble.train_random_forest),
-        ensemble.predict_random_forest, tree.TABLE_KEYS, _load_table),
+        ensemble.predict_random_forest, tree.TABLE_KEYS, _load_random_forest),
     "mlp": Classifier(
         _without_schema(mlp.train_mlp), mlp.predict_mlp, ("layers",), _load_mlp),
 }

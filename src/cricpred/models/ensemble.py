@@ -13,29 +13,30 @@ import numpy as np
 
 from .linear import sigmoid
 from .tree import (
-    fit_classification_tree,
     fit_regression_tree,
     flatten,
+    grow_classification_trees,
     tree_predict_matrix,
 )
+
+# Trees grown together: enough to share each level's numpy calls, few
+# enough to keep a level's rows (the group's bootstrap samples) small.
+TREE_GROUP = 25
 
 
 def train_random_forest(X, y, hp, seed):
     n, d = X.shape
     n_trees = hp["n_trees"]
-    min_leaf = hp["min_leaf"]
-    max_depth = hp["max_depth"]
     max_features = min(d, math.ceil(math.sqrt(d)))
     trees = []
-    for t in range(n_trees):
-        rng = np.random.default_rng([seed, t])
-        if hp["bootstrap"]:
-            sample = rng.integers(0, n, size=n)
-        else:
-            sample = np.arange(n)
-        trees.append(fit_classification_tree(
-            X[sample], y[sample], min_leaf=min_leaf, max_depth=max_depth,
-            rng=rng, max_features=max_features))
+    for first in range(0, n_trees, TREE_GROUP):
+        rngs = [np.random.default_rng([seed, t])
+                for t in range(first, min(first + TREE_GROUP, n_trees))]
+        roots = [rng.integers(0, n, size=n) if hp["bootstrap"] else np.arange(n)
+                 for rng in rngs]
+        trees += grow_classification_trees(
+            X, y, roots, min_leaf=hp["min_leaf"], max_depth=hp["max_depth"],
+            rngs=rngs, max_features=max_features)
     return flatten(trees)
 
 

@@ -1,6 +1,21 @@
-"""Binary decision trees built on the split-search kernels.
+"""Binary decision trees, grown breadth first over a batch of trees.
 
-Trees grow as nested dicts: internal nodes carry
+A batch is one row-index array into ``X`` per tree, its root; a bootstrap
+sample with duplicate rows is a root like any other. The grower keeps the
+rows of every open node of every tree in one array, node after node, and
+scores a whole level with a fixed number of numpy calls: level-wise growth
+(Chen & Guestrin 2016, section 4.1) over many trees at once. The drawn 0/1
+columns are counted per node, and the drawn numeric columns are sorted
+within each node by one stable argsort on (node, column, rank), with each
+value's rank in its column computed once per batch. A child's rows are its
+parent's sorted stably by the split column, the order a depth-first
+grower gives them, so every split score and leaf value sums the same
+numbers in the same order as growing the node on its own does. A random
+forest's tree draws the candidate columns of its nodes from its own
+generator, in one call per level for all its open nodes
+(``draw_features``).
+
+Trees come out as nested dicts: internal nodes carry
 ``feature``/``threshold``/``left``/``right``, leaves carry ``value``. An
 ensemble is saved and predicted as one flat node table (``flatten``), the
 layout of scikit-learn's ``Tree`` and of XGBoost: the parallel arrays
@@ -12,12 +27,13 @@ first node. A row goes to ``left`` when its ``feature`` column is below
 (tree, row) pair down one level per step until none moves.
 
 Columns whose every value is 0.0 or 1.0 (the dummy-coded categoricals) are
-scored together from counts; other columns are sorted and scanned. Both
-paths give the same scores, so the trees do not depend on which path a
-column takes.
+scored from counts; other columns are sorted and scanned. Both paths give
+the same scores, so the trees do not depend on which path a column takes.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -35,84 +51,170 @@ def _binary_columns(X):
     return np.all((X == 0.0) | (X == 1.0), axis=0)
 
 
-def _best_split(X, idx, crit, min_leaf, features, binary, kernel, count_kernel,
-                maximize):
-    """Best ``(feature, threshold, left idx, right idx)`` over the candidate
-    features, or None. ``crit`` holds the criterion values of ``idx``'s rows;
-    on a tied score the earliest feature wins."""
-    scores = np.full(features.size, -_INF if maximize else _INF)
-    is_binary = binary[features]
-    if is_binary.any():
-        scores[is_binary] = count_kernel(X[idx[:, None], features[is_binary]],
-                                         crit, min_leaf)
-    sorted_splits = {}
-    for k in (~is_binary).nonzero()[0]:
-        col = X[idx, features[k]]
-        order = np.argsort(col, kind="stable")
-        values = col[order]
-        i, score = kernel(values, crit[order], min_leaf)
-        if i >= 0:
-            scores[k] = score
-            lo, hi = float(values[i - 1]), float(values[i])
-            threshold = (lo + hi) / 2.0
-            if not lo < threshold <= hi:
-                # adjacent doubles round the midpoint down to ``lo`` (and a
-                # huge pair overflows it), which would send ``lo`` right
-                threshold = hi
-            sorted_splits[k] = (order, i, threshold)
-    k = int(scores.argmax() if maximize else scores.argmin())
-    if abs(scores[k]) == _INF:  # no candidate has a valid split
-        return None
-    f = features[k]
-    if k in sorted_splits:
-        order, i, threshold = sorted_splits[k]
-        return f, threshold, idx[order[:i]], idx[order[i:]]
-    ones = X[idx, f] == 1.0
-    return f, 0.5, idx[~ones], idx[ones]
+def _starts(sizes):
+    return np.cumsum(sizes) - sizes
 
 
-def _grow(X, idx, criterion_values, leaf_value, min_leaf, max_depth, depth,
-          rng, max_features, binary, kernel, count_kernel, maximize):
-    n_features = X.shape[1]
-    crit = criterion_values[idx]
-    done = ((max_depth is not None and depth >= max_depth)
-            or idx.size < 2 * min_leaf
-            or bool((crit == crit[0]).all()))
-    if not done:
-        if max_features is not None and max_features < n_features:
-            chosen = rng.choice(n_features, size=max_features, replace=False)
-            features = np.sort(chosen)
-        else:
-            features = np.arange(n_features)
-        split = _best_split(X, idx, crit, min_leaf, features, binary,
-                            kernel, count_kernel, maximize)
-        done = split is None
-    if done:
-        return {"value": leaf_value(idx)}
-    f, threshold, left_idx, right_idx = split
-    args = (criterion_values, leaf_value, min_leaf, max_depth, depth + 1,
-            rng, max_features, binary, kernel, count_kernel, maximize)
-    return {
-        "feature": int(f),
-        "threshold": float(threshold),
-        "left": _grow(X, left_idx, *args),
-        "right": _grow(X, right_idx, *args),
-    }
+def draw_features(rng, n_nodes, n_features, max_features):
+    """``max_features`` distinct columns, ascending, for each of ``n_nodes``
+    nodes (one row each), from one call of ``rng``."""
+    keys = rng.random((n_nodes, n_features))
+    chosen = np.argpartition(keys, max_features - 1, axis=1)[:, :max_features]
+    return np.sort(chosen, axis=1)
+
+
+class _Batch:
+    """What the grower reads of ``X``: ``X`` with its numeric columns
+    zeroed (a count finds no split in them), the numeric columns, and each
+    value's rank in its numeric column: ``ranks[:, rank_column[j]]`` for
+    column ``j``, all 0 for a 0/1 column."""
+
+    def __init__(self, X):
+        self.X = X
+        binary = _binary_columns(X)
+        self.counted = np.where(binary, X, 0.0)
+        self.numeric = np.flatnonzero(~binary)
+        # a value's rank: how many values of its column are smaller
+        self.ranks = np.zeros((X.shape[0], self.numeric.size + 1), dtype=np.int64)
+        for r, j in enumerate(self.numeric):
+            self.ranks[:, r] = np.searchsorted(np.sort(X[:, j]), X[:, j])
+        self.rank_column = np.full(X.shape[1], self.numeric.size)
+        self.rank_column[self.numeric] = np.arange(self.numeric.size)
+
+
+def _best_splits(batch, rows, sizes, crit, features, min_leaf, kernel,
+                 count_kernel, maximize):
+    """Each node's best split over its candidate ``features`` (one row of
+    ascending columns per node, or None for every column): ``(found,
+    feature, threshold)`` arrays. ``rows`` holds the nodes' rows, node after
+    node, and ``crit`` their criterion values; on a tied score the earliest
+    feature wins."""
+    X, (n, d) = batch.X, batch.X.shape
+    m = sizes.size
+    if features is None:
+        scores = count_kernel(batch.counted[rows], crit, sizes, min_leaf)
+        features = np.broadcast_to(np.arange(d), scores.shape)
+    else:
+        # one drawn slot at a time: a forest's level holds the rows of many
+        # trees, and a count's temporaries grow with rows times slots
+        node_of = np.repeat(np.arange(m), sizes)
+        scores = np.concatenate([
+            count_kernel(batch.counted[rows, features[node_of, s]][:, None],
+                         crit, sizes, min_leaf)
+            for s in range(features.shape[1])], axis=1)
+    thresholds = np.full(scores.shape, 0.5)
+    # every (node, drawn numeric column) pair, each a segment of the node's
+    # rows sorted stably by the column: one argsort on (pair, rank)
+    node, slot = np.nonzero(batch.rank_column[features] < batch.numeric.size)
+    if node.size:
+        column = features[node, slot]
+        pair_sizes = sizes[node]
+        pair_starts = _starts(pair_sizes)
+        at = (np.repeat(_starts(sizes)[node] - pair_starts, pair_sizes)
+              + np.arange(pair_sizes.sum()))
+        pair = np.repeat(np.arange(node.size), pair_sizes)
+        rank = batch.ranks[rows[at], batch.rank_column[column][pair]]
+        at = at[np.argsort(pair * n + rank, kind="stable")]
+        values = X[rows[at], column[pair]]
+        cut, score = kernel(values, crit[at], pair_sizes, min_leaf)
+        # the values either side of the cut (any two where there is none)
+        right = pair_starts + np.maximum(cut, 1)
+        lo, hi = values[right - 1], values[right]
+        with np.errstate(over="ignore"):
+            mid = (lo + hi) / 2.0
+        scores[node, slot] = score
+        # adjacent doubles round the midpoint down to ``lo`` (and a huge
+        # pair overflows it), which would send ``lo`` right
+        thresholds[node, slot] = np.where((lo < mid) & (mid <= hi), mid, hi)
+    best = scores.argmax(axis=1) if maximize else scores.argmin(axis=1)
+    at = (np.arange(m), best)
+    return np.abs(scores[at]) != _INF, features[at], thresholds[at]
+
+
+def _grow(X, roots, crit, leaf_values, min_leaf, max_depth, rngs, max_features,
+          kernel, count_kernel, maximize):
+    """One nested tree per root, grown breadth first. ``leaf_values(rows,
+    sizes)`` gives the values of leaves whose rows lie node after node;
+    ``rngs`` holds each tree's generator when ``max_features`` columns are
+    drawn per node."""
+    batch = _Batch(X)
+    n, d = X.shape
+    draws = max_features is not None and max_features < d
+    trees = [{} for _ in roots]
+    nodes = trees              # the open nodes of the level, tree by tree
+    tree_of = np.arange(len(roots))
+    rows = np.concatenate(roots)
+    sizes = np.array([root.size for root in roots])
+    depth = 0
+    while nodes:
+        starts = _starts(sizes)
+        node_of = np.repeat(np.arange(len(nodes)), sizes)
+        c = crit[rows]
+        split = ((max_depth is None or depth < max_depth) & (sizes >= 2 * min_leaf)
+                 & np.logical_or.reduceat(c != c[starts][node_of], starts))
+        open_ = np.flatnonzero(split)
+        feature = np.zeros(len(nodes), dtype=np.int64)
+        threshold = np.zeros(len(nodes))
+        if open_.size:
+            features = None
+            if draws:
+                counts = np.bincount(tree_of[open_], minlength=len(rngs)).tolist()
+                features = np.concatenate([
+                    draw_features(rng, count, d, max_features)
+                    for rng, count in zip(rngs, counts) if count])
+            inside = split[node_of]
+            found, feature[open_], threshold[open_] = _best_splits(
+                batch, rows[inside], sizes[open_], c[inside], features,
+                min_leaf, kernel, count_kernel, maximize)
+            split[open_] = found
+        leaf = ~split
+        if leaf.any():
+            values = leaf_values(rows[leaf[node_of]], sizes[leaf])
+            for node, value in zip(itertools.compress(nodes, leaf), values):
+                node["value"] = value
+        children = []
+        for node, f, t in zip(itertools.compress(nodes, split),
+                              feature[split].tolist(), threshold[split].tolist()):
+            node.update(feature=f, threshold=t, left={}, right={})
+            children += (node["left"], node["right"])
+        # a child's rows: its parent's, sorted stably by the split column
+        inside = split[node_of]
+        rows, parent = rows[inside], node_of[inside]
+        f = feature[parent]
+        goes_right = X[rows, f] >= threshold[parent]
+        child = 2 * (np.cumsum(split) - 1)[parent] + goes_right
+        rank = batch.ranks[rows, batch.rank_column[f]]
+        rows = rows[np.argsort(child * n + rank, kind="stable")]
+        sizes = np.bincount(child, minlength=len(children))
+        tree_of = np.repeat(tree_of[split], 2)
+        nodes = children
+        depth += 1
+    return trees
+
+
+def grow_classification_trees(X, y, roots, min_leaf=1, max_depth=None,
+                              rngs=None, max_features=None):
+    """Gini trees, one per root (an index array into ``X``'s rows); leaves
+    store the class-1 proportion. With ``max_features`` below the column
+    count, each node considers that many columns, drawn from its tree's
+    generator in ``rngs``."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+
+    def leaf_values(rows, sizes):
+        # whole-number sums: exact in any order
+        return (np.add.reduceat(y[rows], _starts(sizes)) / sizes).tolist()
+
+    return _grow(X, roots, y, leaf_values, min_leaf, max_depth, rngs,
+                 max_features, best_split_gini, count_split_gini,
+                 maximize=False)
 
 
 def fit_classification_tree(X, y, min_leaf=1, max_depth=None, rng=None,
                             max_features=None):
-    """Gini tree; leaves store the class-1 proportion."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    idx = np.arange(X.shape[0])
-
-    def leaf_value(node_idx):
-        return float(y[node_idx].sum()) / node_idx.size
-
-    return _grow(X, idx, y, leaf_value, min_leaf, max_depth, 0, rng,
-                 max_features, _binary_columns(X), best_split_gini,
-                 count_split_gini, maximize=False)
+    """Gini tree on all rows; leaves store the class-1 proportion."""
+    return grow_classification_trees(X, y, [np.arange(np.shape(X)[0])],
+                                     min_leaf, max_depth, [rng], max_features)[0]
 
 
 def fit_regression_tree(X, grad, hess, min_leaf=1, max_depth=3):
@@ -121,15 +223,15 @@ def fit_regression_tree(X, grad, hess, min_leaf=1, max_depth=3):
     X = np.asarray(X, dtype=np.float64)
     grad = np.asarray(grad, dtype=np.float64)
     hess = np.asarray(hess, dtype=np.float64)
-    idx = np.arange(X.shape[0])
 
-    def leaf_value(node_idx):
-        denom = float(hess[node_idx].sum())
-        return float(grad[node_idx].sum()) / (denom + 1e-12)
+    def leaf_values(rows, sizes):
+        # pairwise ``sum`` over each leaf's rows, in the order they came
+        return [float(grad[r].sum()) / (float(hess[r].sum()) + 1e-12)
+                for r in np.split(rows, np.cumsum(sizes)[:-1])]
 
-    return _grow(X, idx, grad, leaf_value, min_leaf, max_depth, 0, None,
-                 None, _binary_columns(X), best_split_sse, count_split_sse,
-                 maximize=True)
+    return _grow(X, [np.arange(X.shape[0])], grad, leaf_values, min_leaf,
+                 max_depth, None, None, best_split_sse, count_split_sse,
+                 maximize=True)[0]
 
 
 TABLE_KEYS = ("roots", "feature", "threshold", "left", "right", "value")

@@ -63,6 +63,18 @@ class TestTrain:
             make_spec("linear_svm", epochs=200)
         with pytest.raises(InvalidHyperparameter):
             make_spec("not_a_kind")
+        # a bool is not a count or a real, and a real is finite
+        with pytest.raises(InvalidHyperparameter):
+            make_spec("random_forest", n_trees=True)
+        with pytest.raises(InvalidHyperparameter):
+            make_spec("random_forest", max_depth=False)
+        with pytest.raises(InvalidHyperparameter):
+            make_spec("gradient_boosting", shrinkage=float("inf"))
+        # not numbers at all: InvalidHyperparameter, not a TypeError
+        with pytest.raises(InvalidHyperparameter):
+            make_spec("mlp", learning_rate="x")
+        with pytest.raises(InvalidHyperparameter):
+            make_spec("logistic_regression", l2=None)
 
     def test_schema_fingerprint_recorded(self, separable):
         model = train(make_spec("logistic_regression"), separable)

@@ -230,6 +230,13 @@ def boolean_root(p):
     p["roots"][0] = True
 
 
+def set_leaves(p, value):
+    """Every leaf with a nonzero value gets ``value``."""
+    for i, child in enumerate(p["left"]):
+        if child == i and p["value"][i] != 0.0:
+            p["value"][i] = value
+
+
 TABLE_FAULTS = [child_out_of_range, cycle, feature_out_of_range, unequal_lengths,
                 leaf_value_nan, threshold_nan, feature_fraction, boolean_root]
 
@@ -265,6 +272,8 @@ PARAMETER_FAULTS = [
      lambda p: p["class_0"]["bernoulli_p"].__setitem__(0, 2.0)),
     ("naive-bayes-prior-negative", "naive_bayes",
      lambda p: p["class_1"].update(prior=-0.5)),
+    ("forest-leaf-above-1", "random_forest", lambda p: set_leaves(p, 2.0)),
+    ("forest-leaf-negative", "random_forest", lambda p: set_leaves(p, -0.5)),
 ]
 
 

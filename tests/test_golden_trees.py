@@ -1,19 +1,23 @@
 """Golden digests of format_version 2 model documents, at least one for
 each kind.
 
-The tree-ensemble digests pin the trees grown by the argsort-per-column
-split search, saved as one preorder node table: any change to the tree
-learner, the split kernels or the boosting loop that alters a single
-threshold, leaf value or child order changes a digest, and so does any
-change to the table's layout. They equal the digests of format_version 1
+The tree-ensemble digests pin the trees, saved as one preorder node
+table: any change to the tree learner, the split kernels or the boosting
+loop that alters a single threshold, leaf value or child order changes a
+digest, and so does any change to the table's layout. The
+gradient-boosting digests are unchanged from the depth-first grower that
+breadth-first growth replaced, and equal the digests of format_version 1
 documents (nested trees) of the same models converted to the table. The
-``mlp``, ``linear_svm``, ``logistic_regression`` and ``naive_bayes``
-digests pin every weight of those documents to the last bit, so a faster
-training loop must reproduce its floating-point operations exactly. With
-``format_version`` set back to 1, the ``mlp``, ``logistic_regression`` and
-``naive_bayes`` digests give the version 1 digests; the ``linear_svm``
-digest pins the Newton fit of the squared hinge, which no version 1
-document holds.
+random-forest digests were re-recorded for breadth-first growth: a tree
+draws the candidate columns of all its open nodes at a level in one call,
+where the depth-first grower drew them node by node, so the same
+generator hands out other columns. The ``mlp``, ``linear_svm``,
+``logistic_regression`` and ``naive_bayes`` digests pin every weight of
+those documents to the last bit, so a faster training loop must
+reproduce its floating-point operations exactly. With ``format_version``
+set back to 1, the ``mlp``, ``logistic_regression`` and ``naive_bayes``
+digests give the version 1 digests; the ``linear_svm`` digest pins the
+Newton fit of the squared hinge, which no version 1 document holds.
 """
 
 import hashlib
@@ -30,13 +34,13 @@ SMALL_FOREST = (("max_depth", 6), ("min_leaf", 3), ("n_trees", 20))
 # (dataset, kind, hyperparameters) -> sha256 of the sorted-key JSON document
 GOLDEN = {
     ("fixture", "random_forest", ()):
-        "5bd30d496abd3b3fe54d88c6c93c504508b3427002436ad26e3416fc00041958",
+        "f164a78ed3cac669f36f060f78c3a1e027629fdd8536de989366f554eb89697a",
     ("fixture", "random_forest", SMALL_FOREST):
-        "da9ef943b77098a25ea437750ba8358cc2068591e36c0b7bcfbb4a1f084a0515",
+        "40d067492eb2b133817bbebf15e2a58e131554f00f312d75c973344df069b007",
     ("fixture", "gradient_boosting", ()):
         "1fb0c601288d2718925c9b68346185bb72d40a8a6c5975afa7d48566c8966371",
     ("separable", "random_forest", SMALL_FOREST):
-        "1f68e8a912f3d0c2ad4b7f91ffe894f899b0874c31163fff349dc2121ec0913c",
+        "809d9d6fe1f3f88a7b28347990b4137cb92518f26f44e8262926a5e8f36b491d",
     ("separable", "gradient_boosting", (("n_rounds", 30),)):
         "66119b14b981b898b74d2a3e9eadbfe1b281bc8c98d360460b7b9d45c153107d",
     ("fixture", "mlp", ()):

@@ -8,6 +8,12 @@ from cricpred import kernels
 INF = float("inf")
 
 
+def one_segment(kernel, values, crit, min_leaf):
+    """A sorted-column kernel's ``(cut, score)`` for one node."""
+    cut, score = kernel(values, crit, np.array([values.size]), min_leaf)
+    return int(cut[0]), float(score[0])
+
+
 def brute_gini(values, labels, min_leaf):
     """Enumerate every cut point; the reference for the sorted-column scan."""
     n = len(values)
@@ -63,7 +69,7 @@ class TestAgainstBruteForce:
         rng = np.random.default_rng(0)
         for _ in range(300):
             values, labels, min_leaf = random_case(rng, "labels")
-            got = kernels.best_split_gini(values, labels, min_leaf)
+            got = one_segment(kernels.best_split_gini, values, labels, min_leaf)
             want = brute_gini(values, labels, min_leaf)
             assert got[0] == want[0]
             if got[0] != -1:
@@ -73,7 +79,7 @@ class TestAgainstBruteForce:
         rng = np.random.default_rng(1)
         for _ in range(300):
             values, targets, min_leaf = random_case(rng, "targets")
-            got = kernels.best_split_sse(values, targets, min_leaf)
+            got = one_segment(kernels.best_split_sse, values, targets, min_leaf)
             want = brute_sse(values, targets, min_leaf)
             assert got[0] == want[0]
             if got[0] != -1:
@@ -124,12 +130,13 @@ class TestCountSplitsMatchSortedScan:
             X, binary, min_leaf = random_node(rng)
             crit = crit_of(rng, X.shape[0])
             B = X[:, binary]
-            scores = count_kernel(B, crit, min_leaf)
-            assert scores.shape == (B.shape[1],)
+            scores = count_kernel(B, crit, np.array([B.shape[0]]), min_leaf)
+            assert scores.shape == (1, B.shape[1])
+            scores = scores[0]
             for k in range(B.shape[1]):
                 col = B[:, k]
                 order = np.argsort(col, kind="stable")
-                want = kernel(col[order], crit[order], min_leaf)
+                want = one_segment(kernel, col[order], crit[order], min_leaf)
                 got_i = int(np.sum(col == 0.0)) if scores[k] != sentinel else -1
                 assert (got_i, scores[k]) == want
                 outcomes[want[0] > 0] += 1
@@ -150,24 +157,24 @@ class TestCountSplitsMatchSortedScan:
 class TestEdgeCases:
     def test_single_row(self):
         v = np.array([1.0])
-        assert kernels.best_split_gini(v, np.array([1.0]), 1) == (-1, INF)
-        assert kernels.best_split_sse(v, np.array([1.0]), 1) == (-1, -INF)
+        assert one_segment(kernels.best_split_gini, v, np.array([1.0]), 1) == (-1, INF)
+        assert one_segment(kernels.best_split_sse, v, np.array([1.0]), 1) == (-1, -INF)
 
     def test_all_values_equal(self):
         v = np.full(10, 2.0)
         y = np.array([0.0, 1.0] * 5)
-        assert kernels.best_split_gini(v, y, 1) == (-1, INF)
-        assert kernels.best_split_sse(v, y, 1) == (-1, -INF)
+        assert one_segment(kernels.best_split_gini, v, y, 1) == (-1, INF)
+        assert one_segment(kernels.best_split_sse, v, y, 1) == (-1, -INF)
 
     def test_min_leaf_blocks_everything(self):
         v = np.arange(6, dtype=np.float64)
         y = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
-        assert kernels.best_split_gini(v, y, 4) == (-1, INF)
+        assert one_segment(kernels.best_split_gini, v, y, 4) == (-1, INF)
 
     def test_perfect_split(self):
         v = np.arange(8, dtype=np.float64)
         y = np.array([0.0] * 4 + [1.0] * 4)
-        i, imp = kernels.best_split_gini(v, y, 1)
+        i, imp = one_segment(kernels.best_split_gini, v, y, 1)
         assert i == 4
         assert imp == 0.0
 
@@ -175,6 +182,34 @@ class TestEdgeCases:
         # symmetric pattern: cut points 2 and 4 tie; the first is returned
         v = np.arange(6, dtype=np.float64)
         y = np.array([0.0, 0.0, 1.0, 0.0, 1.0, 1.0])
-        i, _ = kernels.best_split_gini(v, y, 1)
+        i, _ = one_segment(kernels.best_split_gini, v, y, 1)
         j, _ = brute_gini(v, y, 1)
         assert i == j == 2
+
+
+class TestSegments:
+    """Many nodes in one call score as each node alone does, bit for bit."""
+
+    def test_sorted_and_count_kernels(self):
+        rng = np.random.default_rng(6)
+        kinds = ((kernels.best_split_gini, kernels.count_split_gini, "labels"),
+                 (kernels.best_split_sse, kernels.count_split_sse, "targets"))
+        for kernel, count_kernel, target_kind in kinds:
+            for _ in range(100):
+                cases = [random_case(rng, target_kind)
+                         for _ in range(int(rng.integers(1, 8)))]
+                min_leaf = cases[0][2]
+                sizes = np.array([values.size for values, _, _ in cases])
+                values = np.concatenate([c[0] for c in cases])
+                crit = np.concatenate([c[1] for c in cases])
+                cut, score = kernel(values, crit, sizes, min_leaf)
+                B = (rng.random((values.size, 3)) < 0.4).astype(np.float64)
+                counts = count_kernel(B, crit, sizes, min_leaf)
+                start = 0
+                for i, size in enumerate(sizes):
+                    part = slice(start, start + size)
+                    assert (cut[i], score[i]) == one_segment(
+                        kernel, values[part], crit[part], min_leaf)
+                    assert np.array_equal(counts[i], count_kernel(
+                        B[part], crit[part], np.array([size]), min_leaf)[0])
+                    start += size

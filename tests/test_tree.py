@@ -1,12 +1,20 @@
 import numpy as np
 import pytest
 
+from cricpred.kernels import (
+    best_split_gini,
+    best_split_sse,
+    count_split_gini,
+    count_split_sse,
+)
 from cricpred.models import ensemble, make_spec, train
 from cricpred.models.linear import sigmoid
 from cricpred.models.tree import (
+    draw_features,
     fit_classification_tree,
     fit_regression_tree,
     flatten,
+    grow_classification_trees,
     tree_predict_matrix,
 )
 
@@ -153,3 +161,184 @@ def test_flatten_layout():
         "right": [2, 1, 4, 3, 4, 5],
         "value": [0.0, 0.25, 0.0, 0.5, 0.75, 1.0],
     }
+
+
+# --- the breadth-first grower against the depth-first one it replaced ----
+#
+# ``ref_grow``/``ref_best_split`` are the recursive grower as it was before
+# trees grew level by level, calling the kernels with one segment. With
+# every column a candidate, the two must give the same nested dicts.
+
+_INF = float("inf")
+
+
+def _binary_columns(X):
+    return np.all((X == 0.0) | (X == 1.0), axis=0)
+
+
+def ref_best_split(X, idx, crit, min_leaf, features, binary, kernel,
+                   count_kernel, maximize):
+    scores = np.full(features.size, -_INF if maximize else _INF)
+    is_binary = binary[features]
+    one = np.array([idx.size])
+    if is_binary.any():
+        scores[is_binary] = count_kernel(X[idx[:, None], features[is_binary]],
+                                         crit, one, min_leaf)[0]
+    sorted_splits = {}
+    for k in (~is_binary).nonzero()[0]:
+        col = X[idx, features[k]]
+        order = np.argsort(col, kind="stable")
+        values = col[order]
+        i, score = kernel(values, crit[order], one, min_leaf)
+        i, score = int(i[0]), float(score[0])
+        if i >= 0:
+            scores[k] = score
+            lo, hi = float(values[i - 1]), float(values[i])
+            threshold = (lo + hi) / 2.0
+            if not lo < threshold <= hi:
+                threshold = hi
+            sorted_splits[k] = (order, i, threshold)
+    k = int(scores.argmax() if maximize else scores.argmin())
+    if abs(scores[k]) == _INF:
+        return None
+    f = features[k]
+    if k in sorted_splits:
+        order, i, threshold = sorted_splits[k]
+        return f, threshold, idx[order[:i]], idx[order[i:]]
+    ones = X[idx, f] == 1.0
+    return f, 0.5, idx[~ones], idx[ones]
+
+
+def ref_grow(X, idx, criterion_values, leaf_value, min_leaf, max_depth, depth,
+             binary, kernel, count_kernel, maximize):
+    crit = criterion_values[idx]
+    done = ((max_depth is not None and depth >= max_depth)
+            or idx.size < 2 * min_leaf
+            or bool((crit == crit[0]).all()))
+    if not done:
+        split = ref_best_split(X, idx, crit, min_leaf, np.arange(X.shape[1]),
+                               binary, kernel, count_kernel, maximize)
+        done = split is None
+    if done:
+        return {"value": leaf_value(idx)}
+    f, threshold, left_idx, right_idx = split
+    args = (criterion_values, leaf_value, min_leaf, max_depth, depth + 1,
+            binary, kernel, count_kernel, maximize)
+    return {"feature": int(f), "threshold": float(threshold),
+            "left": ref_grow(X, left_idx, *args),
+            "right": ref_grow(X, right_idx, *args)}
+
+
+def ref_classification_tree(X, y, min_leaf, max_depth):
+    return ref_grow(X, np.arange(X.shape[0]), y,
+                    lambda idx: float(y[idx].sum()) / idx.size, min_leaf,
+                    max_depth, 0, _binary_columns(X), best_split_gini,
+                    count_split_gini, False)
+
+
+def ref_regression_tree(X, grad, hess, min_leaf, max_depth):
+    def leaf_value(idx):
+        return float(grad[idx].sum()) / (float(hess[idx].sum()) + 1e-12)
+
+    return ref_grow(X, np.arange(X.shape[0]), grad, leaf_value, min_leaf,
+                    max_depth, 0, _binary_columns(X), best_split_sse,
+                    count_split_sse, True)
+
+
+def mixed_matrix(rng, n):
+    """Columns of every kind the split search tells apart: 0/1, constant,
+    tied, 0/2 (numeric, not 0/1), adjacent doubles and continuous."""
+    lo = float(rng.choice([1.0, -3.0, 0.1]))
+    columns = [
+        rng.integers(0, 2, n).astype(np.float64),
+        (rng.random(n) < 0.1).astype(np.float64),
+        np.full(n, float(rng.integers(2))),
+        np.full(n, 5.0),
+        rng.integers(0, 4, n).astype(np.float64),
+        rng.integers(0, 2, n) * 2.0,
+        np.where(rng.random(n) < 0.5, lo, np.nextafter(lo, np.inf)),
+        rng.normal(size=n),
+        np.round(rng.normal(size=n), 1),
+    ]
+    return np.column_stack([columns[i] for i in rng.permutation(len(columns))])
+
+
+def matrices():
+    """(name, X, y): the fixture, a separable set and random mixed ones."""
+    out = []
+    for name, make in DATASETS.items():
+        data = make()
+        out.append((name, data.X, data.y))
+    rng = np.random.default_rng(12)
+    for i in range(4):
+        X = mixed_matrix(rng, int(rng.integers(40, 160)))
+        signal = X @ rng.normal(size=X.shape[1]) + rng.normal(size=X.shape[0])
+        out.append((f"mixed{i}", X, (signal > np.median(signal)).astype(np.float64)))
+    return [(name, np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.float64))
+            for name, X, y in out]
+
+
+MATRICES = matrices()
+GROWTH = [(min_leaf, max_depth) for min_leaf in (1, 2, 3, 4)
+          for max_depth in (None, 0, 3)]
+
+
+@pytest.mark.parametrize("min_leaf, max_depth", GROWTH)
+@pytest.mark.parametrize("name, X, y", MATRICES, ids=[m[0] for m in MATRICES])
+def test_gini_tree_matches_depth_first(name, X, y, min_leaf, max_depth):
+    assert (fit_classification_tree(X, y, min_leaf, max_depth)
+            == ref_classification_tree(X, y, min_leaf, max_depth))
+
+
+@pytest.mark.parametrize("min_leaf, max_depth", GROWTH)
+@pytest.mark.parametrize("name, X, y", MATRICES, ids=[m[0] for m in MATRICES])
+def test_sse_tree_matches_depth_first(name, X, y, min_leaf, max_depth):
+    rng = np.random.default_rng(min_leaf)
+    p = np.clip(rng.random(y.size), 0.05, 0.95)
+    grad = (y - p) * 10.0 ** rng.integers(-3, 4, size=y.size)
+    hess = p * (1.0 - p)
+    assert (fit_regression_tree(X, grad, hess, min_leaf, max_depth)
+            == ref_regression_tree(X, grad, hess, min_leaf, max_depth))
+
+
+@pytest.mark.parametrize("min_leaf, max_depth", [(1, None), (3, None), (2, 3)])
+@pytest.mark.parametrize("name, X, y", MATRICES, ids=[m[0] for m in MATRICES])
+def test_bootstrap_batch_matches_depth_first(name, X, y, min_leaf, max_depth):
+    """Several bootstrap samples, duplicate rows and all, grown in one
+    batch: each tree is the one grown alone on its sample's rows."""
+    rng = np.random.default_rng(7)
+    roots = [rng.integers(0, X.shape[0], size=X.shape[0]) for _ in range(5)]
+    roots.append(np.arange(X.shape[0]))
+    trees = grow_classification_trees(X, y, roots, min_leaf, max_depth)
+    assert trees == [ref_classification_tree(X[r], y[r], min_leaf, max_depth)
+                     for r in roots]
+
+
+def test_level_draw():
+    """Each node gets ``max_features`` distinct columns in ascending order,
+    and every column is drawn about ``max_features / d`` of the time."""
+    rng = np.random.default_rng(8)
+    d, max_features, draws = 36, 6, 0
+    counts = np.zeros(d)
+    while draws < 20_000:
+        nodes = int(rng.integers(1, 200))
+        chosen = draw_features(rng, nodes, d, max_features)
+        assert chosen.shape == (nodes, max_features)
+        assert (np.diff(chosen, axis=1) > 0).all()
+        assert chosen.min() >= 0 and chosen.max() < d
+        counts += np.bincount(chosen.ravel(), minlength=d)
+        draws += nodes
+    p = max_features / d
+    assert np.all(np.abs(counts / draws - p) <= 4 * np.sqrt(p * (1 - p) / draws))
+
+
+@pytest.mark.parametrize("group", [1, 7])
+def test_forest_does_not_depend_on_tree_group(monkeypatch, group):
+    """Each tree draws from its own generator, so growing the trees in
+    groups of another size grows the same forest."""
+    data = separable_dataset(n=300, seed=4)
+    spec = make_spec("random_forest", seed=2, n_trees=30)
+    want = train(spec, data).parameters
+    monkeypatch.setattr(ensemble, "TREE_GROUP", group)
+    got = train(spec, data).parameters
+    assert all(np.array_equal(want[k], got[k]) for k in want)
