@@ -43,20 +43,24 @@ def _with_config(argv):
     path = pre.parse_known_args(argv)[0].config
     if path is None:
         return argv
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise errors.IngestionError(f"{path}: not UTF-8 text ({exc})") from None
     flags = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = (part.strip() for part in line.partition("="))
-            if not sep:
-                raise errors.IngestionError(
-                    f"{path} line {lineno}: expected key = value")
-            if key not in CONFIG_KEYS:
-                raise errors.IngestionError(
-                    f"{path} line {lineno}: unknown config key {key!r}")
-            flags.append(f"--{key.replace('_', '-')}={value}")
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = (part.strip() for part in line.partition("="))
+        if not sep:
+            raise errors.IngestionError(
+                f"{path} line {lineno}: expected key = value")
+        if key not in CONFIG_KEYS:
+            raise errors.IngestionError(
+                f"{path} line {lineno}: unknown config key {key!r}")
+        flags.append(f"--{key.replace('_', '-')}={value}")
     return argv[:1] + flags + argv[1:]
 
 

@@ -41,13 +41,6 @@ class FeatureSchema:
     def feature_names(self):
         return [name for name, _ in self.categorical_groups] + list(self.numeric_features)
 
-    def column_names(self):
-        names = []
-        for name, cats in self.categorical_groups:
-            names.extend(f"{name}={c}" for c in cats[1:])
-        names.extend(self.numeric_features)
-        return names
-
     def group_slices(self):
         """Original feature name -> (start, stop) column range."""
         slices = {}

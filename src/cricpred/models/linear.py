@@ -1,4 +1,4 @@
-"""Logistic regression and linear SVM with Platt-calibrated probabilities."""
+"""Logistic regression, linear SVM and Platt scaling, fitted by one Newton loop."""
 
 from __future__ import annotations
 
@@ -106,15 +106,18 @@ def _fit_newton(X, terms, lam, name):
         f"Newton step {moved:.3g}, loss {loss:.6g}{hint}")
 
 
-def fit_logistic(X, y, lam):
-    """``_fit_newton`` (IRLS, Minka 2003) on the logistic loss."""
-
+def _logistic_terms(y):
+    """``_fit_newton``'s ``terms`` of the logistic loss against ``y`` in [0, 1]."""
     def terms(z):
         p = sigmoid(z)
-        loss = float(np.mean(np.logaddexp(0.0, z) - y * z))
-        return loss, p - y, p * (1.0 - p)
+        return float(np.mean(np.logaddexp(0.0, z) - y * z)), p - y, p * (1.0 - p)
 
-    return _fit_newton(X, terms, lam, "logistic")
+    return terms
+
+
+def fit_logistic(X, y, lam):
+    """``_fit_newton`` (IRLS, Minka 2003) on the logistic loss."""
+    return _fit_newton(X, _logistic_terms(y), lam, "logistic")
 
 
 def fit_squared_hinge(X, y, lam):
@@ -163,58 +166,15 @@ def predict_logistic(params, X):
 
 
 def _fit_platt(scores, y):
-    """Platt scaling: fit p = sigmoid(-(A*s + B)) by Newton's method with
-    backtracking (Lin, Lin & Weng 2007).
-
-    Uses the standard smoothed targets so the calibrator is well defined
-    even on perfectly separated scores; a 1e-12 ridge on the Hessian
-    diagonal keeps the 2x2 system solvable when all scores are equal. Stops
-    once a Newton step moves A and B by less than 1e-12; raises
-    ``NonConvergence`` when the Hessian is singular to rounding, when the
-    line search fails or after ``MAX_NEWTON_STEPS`` steps.
-    """
+    """Platt scaling (Platt 1999), ``p = sigmoid(-(A*s + B))``: the
+    unregularized logistic loss ``sum(t*z + log(1+exp(-z)))``, ``z = A*s +
+    B``, of the smoothed targets ``t`` on the one column ``s``, fitted by
+    ``_fit_newton`` (after Lin, Lin & Weng 2007) as ``w = -A``, ``b = -B``.
+    Identical scores leave no unique optimum and raise ``NonConvergence``."""
     n_pos = float(np.sum(y == 1))
-    n_neg = float(len(y) - n_pos)
-    hi = (n_pos + 1.0) / (n_pos + 2.0)
-    lo = 1.0 / (n_neg + 2.0)
-    t = np.where(y == 1, hi, lo)
-    abs_scores = float(np.sum(np.abs(scores)))
-
-    def objective(A, B):
-        # sum(t*z + log(1+exp(-z))), the cross entropy against t
-        z = A * scores + B
-        return float(np.sum(t * z + np.logaddexp(0.0, -z))), z, A, B
-
-    loss, z, A, B = objective(0.0, np.log((n_neg + 1.0) / (n_pos + 1.0)))
-    for _ in range(MAX_NEWTON_STEPS):
-        p = sigmoid(-z)
-        d1 = t - p
-        g_a = float(np.sum(d1 * scores))
-        g_b = float(np.sum(d1))
-        w = p * (1.0 - p)
-        h_aa = float(np.sum(w * scores * scores)) + 1e-12
-        h_ab = float(np.sum(w * scores))
-        h_bb = float(np.sum(w)) + 1e-12
-        det = h_aa * h_bb - h_ab * h_ab
-        if not det > 0.0:
-            raise NonConvergence(
-                f"Platt scaling failed: singular Hessian (determinant {det:.3g}) "
-                f"at gradient ({g_a:.3g}, {g_b:.3g})")
-        dA = (h_bb * g_a - h_ab * g_b) / det
-        dB = (h_aa * g_b - h_ab * g_a) / det
-        noise = _EPS * (abs(A) * abs_scores + len(scores) * abs(B))
-        state = _backtrack(lambda s: objective(A - s * dA, B - s * dB),
-                           loss, -(g_a * dA + g_b * dB), noise)
-        if state is None:
-            raise NonConvergence(
-                f"Platt scaling failed: line search failed at gradient "
-                f"({g_a:.3g}, {g_b:.3g})")
-        loss, z, A, B = state
-        if abs(dA) < 1e-12 and abs(dB) < 1e-12:
-            return A, B
-    raise NonConvergence(
-        f"Platt scaling did not converge in {MAX_NEWTON_STEPS} Newton steps: "
-        f"gradient ({g_a:.3g}, {g_b:.3g}), last step ({dA:.3g}, {dB:.3g})")
+    t = np.where(y == 1, (n_pos + 1.0) / (n_pos + 2.0), 1.0 / (len(y) - n_pos + 2.0))
+    w, b = _fit_newton(scores[:, None], _logistic_terms(t), 0.0, "Platt scaling")
+    return -float(w[0]), -b
 
 
 def train_linear_svm(X, y, hp, seed):

@@ -38,21 +38,17 @@ import itertools
 import numpy as np
 
 from ..kernels import (
+    _INF,
+    _starts,
     best_split_gini,
     best_split_sse,
     count_split_gini,
     count_split_sse,
 )
 
-_INF = float("inf")
-
 
 def _binary_columns(X):
     return np.all((X == 0.0) | (X == 1.0), axis=0)
-
-
-def _starts(sizes):
-    return np.cumsum(sizes) - sizes
 
 
 def draw_features(rng, n_nodes, n_features, max_features):

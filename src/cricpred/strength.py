@@ -18,6 +18,7 @@ later ones.
 from __future__ import annotations
 
 import bisect
+import math
 import statistics
 from dataclasses import dataclass, field
 
@@ -87,15 +88,23 @@ class TeamWeightLedger:
 
     @classmethod
     def from_dict(cls, doc):
+        """Raises ValueError on an unknown mode or a weight that is not a
+        finite JSON number (a string, boolean, null, NaN or infinity)."""
         import datetime as dt
         entries, seasons = {}, {}
         mode = doc["mode"]
+        if mode not in (PER_SEASON, PER_MATCH):
+            raise ValueError(f"unknown ledger mode {mode!r}")
         for row in doc["entries"]:
+            weight = row["weight"]
+            if type(weight) not in (int, float) or not math.isfinite(weight):
+                raise ValueError(f"team {row['team']!r} has weight {weight!r}, "
+                                 "not a finite number")
             if mode == PER_SEASON:
-                entries[(row["team"], int(row["season"]))] = float(row["weight"])
+                entries[(row["team"], int(row["season"]))] = float(weight)
             else:
                 date = dt.date.fromisoformat(row["as_of"])
-                entries[(row["team"], date)] = float(row["weight"])
+                entries[(row["team"], date)] = float(weight)
                 seasons[(row["team"], date)] = int(row["season"])
         return cls(mode=mode, entries=entries, seasons=seasons)
 

@@ -220,6 +220,23 @@ def squared_hinge_gradient_norm(X, y, lam, w, b):
     return float(np.linalg.norm(grad))
 
 
+def platt_gradient_norm(scores, y, A, B):
+    """Norm of the gradient in (A, B) of Platt's mean cross entropy
+    against the smoothed targets."""
+    n_pos = float(y.sum())
+    t = np.where(y == 1, (n_pos + 1.0) / (n_pos + 2.0), 1.0 / (len(y) - n_pos + 2.0))
+    d1 = t - sigmoid(-(A * scores + B))
+    return float(np.hypot(d1 @ scores, d1.sum())) / len(y)
+
+
+def assert_platt_converges(X, y, lam):
+    """Platt scaling of the linear SVM's scores reaches GRADIENT_TOL."""
+    w, b = fit_squared_hinge(X, y, lam=lam)
+    scores = X @ w + b
+    A, B = _fit_platt(scores, y)
+    assert platt_gradient_norm(scores, y, A, B) <= GRADIENT_TOL
+
+
 # each Newton fit with the gradient norm of the objective it minimizes
 NEWTON_FITS = [(fit_logistic, logistic_gradient_norm),
                (fit_squared_hinge, squared_hinge_gradient_norm)]
@@ -255,13 +272,15 @@ class TestNewtonSolvers:
         (separable_dataset, True, RFE_L2),
         (fixture_dataset, False, 1e-4)])
     def test_logistic_reaches_gradient_tolerance(self, dataset, standardize, lam):
-        # and the linear SVM's squared hinge: NEWTON_FITS
+        # and the linear SVM's squared hinge (NEWTON_FITS) and Platt scaling
+        # of its scores
         data = dataset()
         X = _standardize(data.X) if standardize else data.X
         y = data.y.astype(float)
         for fit, gradient_norm in NEWTON_FITS:
             w, b = fit(X, y, lam=lam)
             assert gradient_norm(X, y, lam, w, b) <= GRADIENT_TOL
+        assert_platt_converges(X, y, lam)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_logistic_converges_on_badly_scaled_columns(self, seed):
@@ -272,6 +291,8 @@ class TestNewtonSolvers:
             for lam in (1e-2, 1e-4):
                 w, b = fit(X, y, lam=lam)
                 assert gradient_norm(X, y, lam, w, b) <= GRADIENT_TOL
+        for lam in (1e-2, 1e-4):
+            assert_platt_converges(X, y, lam)
 
     @pytest.mark.parametrize("fit", [fit for fit, _ in NEWTON_FITS],
                              ids=lambda fit: fit.__name__)
@@ -320,3 +341,9 @@ class TestNewtonSolvers:
         scores = np.array([0.5, np.nan, -0.5, 1.0])
         with pytest.raises(NonConvergence), np.errstate(invalid="ignore"):
             _fit_platt(scores, np.array([1.0, 0.0, 0.0, 1.0]))
+
+    @pytest.mark.parametrize("score", [0.0, 0.7])
+    def test_platt_identical_scores_raise(self, score):
+        # A has no unique optimum: the scores are a constant column
+        with pytest.raises(NonConvergence, match="Platt scaling.*gradient norm"):
+            _fit_platt(np.full(6, score), np.array([1.0, 0.0, 1.0, 1.0, 0.0, 0.0]))

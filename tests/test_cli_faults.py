@@ -76,6 +76,14 @@ def model(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def per_match_model(tmp_path_factory):
+    out = tmp_path_factory.mktemp("per_match_model")
+    assert main(["train", *DATA, "--kind", "logistic_regression", "--mode",
+                 "per_match", "--out-dir", str(out)]) == 0
+    return str(out / "model_logistic_regression.json")
+
+
+@pytest.fixture(scope="module")
 def documents(tmp_path_factory):
     out = tmp_path_factory.mktemp("documents")
     assert main(["train", *DATA, "--kind", "all", "--out-dir", str(out)]) == 0
@@ -129,6 +137,8 @@ FAULTS = [
      lambda t, m: ["train", "--config", config(t, "colour = red\n")]),
     ("train-config-line-without-equals", 2, False,
      lambda t, m: ["train", "--config", config(t, "kind mlp\n")]),
+    ("cv-config-not-utf8", 2, False,
+     lambda t, m: ["cv", "--config", binary(t), "--out-dir", str(t)]),
     ("train-config-key-it-does-not-take", 2, True,
      lambda t, m: ["train", "--config", config(t, "k = 5\n"), "--out-dir", str(t)]),
     ("report-config-key-it-does-not-take", 2, True,
@@ -282,6 +292,38 @@ PARAMETER_FAULTS = [
 def test_corrupt_parameters_exit_3(capsys, tmp_path, documents, kind, fault):
     path = edited(tmp_path, documents[kind], lambda d: fault(d["parameters"]))
     assert main(predict(path)) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
+def set_weights(value):
+    def edit(doc):
+        for entry in doc["team_weights"]["entries"]:
+            entry["weight"] = value
+    return edit
+
+
+# (id, edits the per_match document?, edit of the document): a ledger whose
+# weights are not finite JSON numbers or whose mode is unknown. With an
+# unknown mode a per_season document fails on its "season" as_of dates
+# anyway, so that row edits a per_match document.
+LEDGER_FAULTS = [
+    ("weights-string-nan", False, set_weights("nan")),
+    ("weights-nan", False, set_weights(float("nan"))),
+    ("weights-infinite", False, set_weights(float("inf"))),
+    ("weights-boolean", False, set_weights(True)),
+    ("mode-unknown", True, lambda d: d["team_weights"].update(mode="foo")),
+]
+
+
+@pytest.mark.parametrize("command", ["predict", "report"])
+@pytest.mark.parametrize("per_match, fault", [f[1:] for f in LEDGER_FAULTS],
+                         ids=[f[0] for f in LEDGER_FAULTS])
+def test_corrupt_ledger_exit_3(capsys, tmp_path, model, per_match_model,
+                               per_match, fault, command):
+    path = edited(tmp_path, per_match_model if per_match else model, fault)
+    argv = predict(path) if command == "predict" else report(tmp_path, path)
+    assert main(argv) == 3
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
 
