@@ -19,7 +19,7 @@ from ..errors import (
     SingleClassData,
     VersionMismatch,
 )
-from ..scoring import PointsModel
+from ..scoring import COEFFICIENT_KEYS, PointsModel
 from ..strength import TeamWeightLedger
 from . import ensemble, linear, mlp, naive_bayes, tree
 
@@ -99,8 +99,12 @@ class ClassifierSpec:
 
     @classmethod
     def from_dict(cls, doc):
+        """Raises ValueError unless the seed is a non-negative integer."""
+        seed = doc["seed"]
+        if not (_integer(seed) and seed >= 0):
+            raise ValueError(f"seed {seed!r} is not a non-negative integer")
         return cls(kind=doc["kind"], hyperparameters=dict(doc["hyperparameters"]),
-                   seed=int(doc["seed"]))
+                   seed=seed)
 
 
 def make_spec(kind: str, seed: int = 0, **hyperparameters) -> ClassifierSpec:
@@ -324,6 +328,10 @@ def deserialize(doc: dict) -> ModelDocument:
         spec = ClassifierSpec.from_dict(doc["spec"])
         schema = FeatureSchema.from_dict(doc["schema"])
         classifier = CLASSIFIERS[spec.kind]
+        spec.resolved_hyperparameters()  # raises InvalidHyperparameter
+        training_rows = doc["training_rows"]
+        if not _COUNT(training_rows):
+            raise ValueError(f"training_rows {training_rows!r} is not a positive integer")
         parameters = doc["parameters"]
         missing = [key for key in classifier.parameter_keys
                    if key not in parameters]
@@ -333,8 +341,10 @@ def deserialize(doc: dict) -> ModelDocument:
         parameters = classifier.load(parameters, schema)
         model = TrainedClassifier(
             spec=spec, parameters=parameters, schema=schema,
-            training_rows=int(doc["training_rows"]))
-        points = (PointsModel.from_dict(doc["points_model"])
+            training_rows=training_rows)
+        points = (PointsModel(**{k: _numbers(doc["points_model"][k],
+                                             f"points_model.{k}")
+                                 for k in COEFFICIENT_KEYS})
                   if doc.get("points_model") else None)
         ledger = (TeamWeightLedger.from_dict(doc["team_weights"])
                   if doc.get("team_weights") else None)

@@ -1,7 +1,7 @@
 """Random forest and gradient-boosted trees on the shared tree builder.
 
-Both keep their trees as one node table (``tree.flatten``). They add up
-the trees' leaf values one tree at a time, in tree order: a pairwise
+Both join the grower's node tables into one (``_join``). They add up the
+trees' leaf values one tree at a time, in tree order: a pairwise
 ``sum(axis=0)`` can round differently.
 """
 
@@ -13,8 +13,8 @@ import numpy as np
 
 from .linear import sigmoid
 from .tree import (
+    TABLE_KEYS,
     fit_regression_tree,
-    flatten,
     grow_classification_trees,
     tree_predict_matrix,
 )
@@ -24,20 +24,29 @@ from .tree import (
 TREE_GROUP = 25
 
 
+def _join(tables):
+    """One node table of the trees of ``tables``, in order: each table's
+    node indices shift by the nodes before it."""
+    offsets = np.cumsum([0] + [t["value"].size for t in tables[:-1]])
+    return {k: np.concatenate([t[k] + offset if k in ("roots", "left", "right")
+                               else t[k] for t, offset in zip(tables, offsets)])
+            for k in TABLE_KEYS}
+
+
 def train_random_forest(X, y, hp, seed):
     n, d = X.shape
     n_trees = hp["n_trees"]
     max_features = min(d, math.ceil(math.sqrt(d)))
-    trees = []
+    groups = []
     for first in range(0, n_trees, TREE_GROUP):
         rngs = [np.random.default_rng([seed, t])
                 for t in range(first, min(first + TREE_GROUP, n_trees))]
         roots = [rng.integers(0, n, size=n) if hp["bootstrap"] else np.arange(n)
                  for rng in rngs]
-        trees += grow_classification_trees(
+        groups.append(grow_classification_trees(
             X, y, roots, min_leaf=hp["min_leaf"], max_depth=hp["max_depth"],
-            rngs=rngs, max_features=max_features)
-    return flatten(trees)
+            rngs=rngs, max_features=max_features))
+    return _join(groups)
 
 
 def predict_random_forest(params, X):
@@ -61,9 +70,9 @@ def train_gradient_boosting(X, y, hp, seed):
         grad = y - p          # negative gradient of logistic loss
         hess = p * (1.0 - p)
         tree = fit_regression_tree(X, grad, hess, max_depth=max_depth)
-        f = f + shrinkage * tree_predict_matrix(flatten([tree]), X)[0]
+        f = f + shrinkage * tree_predict_matrix(tree, X)[0]
         trees.append(tree)
-    return {"base_score": f0, "shrinkage": shrinkage, **flatten(trees)}
+    return {"base_score": f0, "shrinkage": shrinkage, **_join(trees)}
 
 
 def predict_gradient_boosting(params, X):

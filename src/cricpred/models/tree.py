@@ -15,16 +15,16 @@ forest's tree draws the candidate columns of its nodes from its own
 generator, in one call per level for all its open nodes
 (``draw_features``).
 
-Trees come out as nested dicts: internal nodes carry
-``feature``/``threshold``/``left``/``right``, leaves carry ``value``. An
-ensemble is saved and predicted as one flat node table (``flatten``), the
-layout of scikit-learn's ``Tree`` and of XGBoost: the parallel arrays
-``feature``, ``threshold``, ``left``, ``right`` and ``value`` over the
-nodes of every tree in preorder, and ``roots``, the index of each tree's
-first node. A row goes to ``left`` when its ``feature`` column is below
-``threshold``. A leaf's ``left`` and ``right`` are its own index, and its
-``feature`` and ``threshold`` are 0, so ``tree_predict_matrix`` moves every
-(tree, row) pair down one level per step until none moves.
+Trees come out as one flat node table, the form an ensemble is saved and
+predicted in and the layout of scikit-learn's ``Tree`` and of XGBoost:
+the parallel arrays ``feature``, ``threshold``, ``left``, ``right`` and
+``value`` over the nodes of every tree in preorder, and ``roots``, the
+index of each tree's first node. The grower keeps each level's nodes and
+places them once the last level is grown (``_preorder``). A row goes to
+``left`` when its ``feature`` column is below ``threshold``. A leaf's
+``left`` and ``right`` are its own index, and its ``feature`` and
+``threshold`` are 0, so ``tree_predict_matrix`` moves every (tree, row)
+pair down one level per step until none moves.
 
 Columns whose every value is 0.0 or 1.0 (the dummy-coded categoricals) are
 scored from counts; other columns are sorted and scanned. Both paths give
@@ -32,8 +32,6 @@ the same scores, so the trees do not depend on which path a column takes.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -45,6 +43,10 @@ from ..kernels import (
     count_split_gini,
     count_split_sse,
 )
+
+TABLE_KEYS = ("roots", "feature", "threshold", "left", "right", "value")
+TABLE_DTYPES = {"roots": np.int64, "feature": np.int64, "threshold": np.float64,
+                "left": np.int64, "right": np.int64, "value": np.float64}
 
 
 def _binary_columns(X):
@@ -129,28 +131,29 @@ def _best_splits(batch, rows, sizes, crit, features, min_leaf, kernel,
 
 def _grow(X, roots, crit, leaf_values, min_leaf, max_depth, rngs, max_features,
           kernel, count_kernel, maximize):
-    """One nested tree per root, grown breadth first. ``leaf_values(rows,
-    sizes)`` gives the values of leaves whose rows lie node after node;
-    ``rngs`` holds each tree's generator when ``max_features`` columns are
-    drawn per node."""
+    """The node table of one tree per root, grown breadth first.
+    ``leaf_values(rows, sizes)`` gives the values of leaves whose rows lie
+    node after node; ``rngs`` holds each tree's generator when
+    ``max_features`` columns are drawn per node."""
     batch = _Batch(X)
     n, d = X.shape
     draws = max_features is not None and max_features < d
-    trees = [{} for _ in roots]
-    nodes = trees              # the open nodes of the level, tree by tree
+    levels = []                # (split, feature, threshold, value) per level
     tree_of = np.arange(len(roots))
     rows = np.concatenate(roots)
     sizes = np.array([root.size for root in roots])
     depth = 0
-    while nodes:
+    while sizes.size:
+        m = sizes.size
         starts = _starts(sizes)
-        node_of = np.repeat(np.arange(len(nodes)), sizes)
+        node_of = np.repeat(np.arange(m), sizes)
         c = crit[rows]
         split = ((max_depth is None or depth < max_depth) & (sizes >= 2 * min_leaf)
                  & np.logical_or.reduceat(c != c[starts][node_of], starts))
         open_ = np.flatnonzero(split)
-        feature = np.zeros(len(nodes), dtype=np.int64)
-        threshold = np.zeros(len(nodes))
+        feature = np.zeros(m, dtype=np.int64)
+        threshold = np.zeros(m)
+        value = np.zeros(m)
         if open_.size:
             features = None
             if draws:
@@ -164,16 +167,12 @@ def _grow(X, roots, crit, leaf_values, min_leaf, max_depth, rngs, max_features,
                 min_leaf, kernel, count_kernel, maximize)
             split[open_] = found
         leaf = ~split
+        feature[leaf], threshold[leaf] = 0, 0.0
         if leaf.any():
-            values = leaf_values(rows[leaf[node_of]], sizes[leaf])
-            for node, value in zip(itertools.compress(nodes, leaf), values):
-                node["value"] = value
-        children = []
-        for node, f, t in zip(itertools.compress(nodes, split),
-                              feature[split].tolist(), threshold[split].tolist()):
-            node.update(feature=f, threshold=t, left={}, right={})
-            children += (node["left"], node["right"])
-        # a child's rows: its parent's, sorted stably by the split column
+            value[leaf] = leaf_values(rows[leaf[node_of]], sizes[leaf])
+        levels.append((split, feature, threshold, value))
+        # a child's rows: its parent's, sorted stably by the split column;
+        # the two children of a level's k-th split node are 2k and 2k + 1
         inside = split[node_of]
         rows, parent = rows[inside], node_of[inside]
         f = feature[parent]
@@ -181,25 +180,47 @@ def _grow(X, roots, crit, leaf_values, min_leaf, max_depth, rngs, max_features,
         child = 2 * (np.cumsum(split) - 1)[parent] + goes_right
         rank = batch.ranks[rows, batch.rank_column[f]]
         rows = rows[np.argsort(child * n + rank, kind="stable")]
-        sizes = np.bincount(child, minlength=len(children))
+        sizes = np.bincount(child, minlength=2 * int(split.sum()))
         tree_of = np.repeat(tree_of[split], 2)
-        nodes = children
         depth += 1
-    return trees
+    return _preorder(levels)
+
+
+def _preorder(levels):
+    """The node table of the grown ``levels``, each tree's nodes in
+    preorder: a left child right after its parent, the right child after
+    the left child's subtree."""
+    # each level's subtree sizes, bottom up from an empty level below the last
+    subtree = [np.zeros(0, dtype=np.int64)]
+    for split, *_ in reversed(levels):
+        size = np.ones(split.size, dtype=np.int64)
+        size[split] += subtree[0][0::2] + subtree[0][1::2]
+        subtree.insert(0, size)
+    at = _starts(subtree[0])
+    table = {k: np.empty(subtree[0].sum(), TABLE_DTYPES[k]) for k in TABLE_KEYS}
+    table["roots"] = at
+    for (split, feature, threshold, value), below in zip(levels, subtree[1:]):
+        left, right = at.copy(), at.copy()
+        left[split] = at[split] + 1
+        right[split] = left[split] + below[0::2]
+        for k, column in zip(TABLE_KEYS[1:], (feature, threshold, left, right, value)):
+            table[k][at] = column
+        at = np.stack((left[split], right[split]), axis=1).ravel()
+    return table
 
 
 def grow_classification_trees(X, y, roots, min_leaf=1, max_depth=None,
                               rngs=None, max_features=None):
-    """Gini trees, one per root (an index array into ``X``'s rows); leaves
-    store the class-1 proportion. With ``max_features`` below the column
-    count, each node considers that many columns, drawn from its tree's
-    generator in ``rngs``."""
+    """One node table of Gini trees, one per root (an index array into
+    ``X``'s rows); leaves store the class-1 proportion. With
+    ``max_features`` below the column count, each node considers that many
+    columns, drawn from its tree's generator in ``rngs``."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
 
     def leaf_values(rows, sizes):
         # whole-number sums: exact in any order
-        return (np.add.reduceat(y[rows], _starts(sizes)) / sizes).tolist()
+        return np.add.reduceat(y[rows], _starts(sizes)) / sizes
 
     return _grow(X, roots, y, leaf_values, min_leaf, max_depth, rngs,
                  max_features, best_split_gini, count_split_gini,
@@ -208,14 +229,16 @@ def grow_classification_trees(X, y, roots, min_leaf=1, max_depth=None,
 
 def fit_classification_tree(X, y, min_leaf=1, max_depth=None, rng=None,
                             max_features=None):
-    """Gini tree on all rows; leaves store the class-1 proportion."""
+    """Gini tree on all rows, as a one-tree node table; leaves store the
+    class-1 proportion."""
     return grow_classification_trees(X, y, [np.arange(np.shape(X)[0])],
-                                     min_leaf, max_depth, [rng], max_features)[0]
+                                     min_leaf, max_depth, [rng], max_features)
 
 
 def fit_regression_tree(X, grad, hess, min_leaf=1, max_depth=3):
-    """Variance-reduction tree on gradients; leaves store the Newton step
-    ``sum(grad) / sum(hess)`` for boosted logistic loss."""
+    """Variance-reduction tree on gradients, as a one-tree node table;
+    leaves store the Newton step ``sum(grad) / sum(hess)`` for boosted
+    logistic loss."""
     X = np.asarray(X, dtype=np.float64)
     grad = np.asarray(grad, dtype=np.float64)
     hess = np.asarray(hess, dtype=np.float64)
@@ -227,40 +250,7 @@ def fit_regression_tree(X, grad, hess, min_leaf=1, max_depth=3):
 
     return _grow(X, [np.arange(X.shape[0])], grad, leaf_values, min_leaf,
                  max_depth, None, None, best_split_sse, count_split_sse,
-                 maximize=True)[0]
-
-
-TABLE_KEYS = ("roots", "feature", "threshold", "left", "right", "value")
-TABLE_DTYPES = {"roots": np.int64, "feature": np.int64, "threshold": np.float64,
-                "left": np.int64, "right": np.int64, "value": np.float64}
-
-
-def _arrays(lists):
-    return {k: np.fromiter(lists[k], dtype=TABLE_DTYPES[k]) for k in TABLE_KEYS}
-
-
-def flatten(trees):
-    """The node table of the nested ``trees``, as arrays keyed by
-    ``TABLE_KEYS``."""
-    table = {k: [] for k in TABLE_KEYS}
-    feature, threshold, left, right, value = (table[k] for k in TABLE_KEYS[1:])
-
-    def visit(node):
-        i = len(value)
-        leaf = "value" in node
-        feature.append(0 if leaf else node["feature"])
-        threshold.append(0.0 if leaf else node["threshold"])
-        value.append(node["value"] if leaf else 0.0)
-        left.append(i)
-        right.append(i)
-        if not leaf:
-            left[i] = visit(node["left"])
-            right[i] = visit(node["right"])
-        return i
-
-    for tree in trees:
-        table["roots"].append(visit(tree))
-    return _arrays(table)
+                 maximize=True)
 
 
 def check_table(table, n_columns):

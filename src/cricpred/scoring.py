@@ -41,10 +41,6 @@ class PointsModel:
     def to_dict(self):
         return {k: float(getattr(self, k)) for k in COEFFICIENT_KEYS}
 
-    @classmethod
-    def from_dict(cls, doc):
-        return cls(**{k: float(doc[k]) for k in COEFFICIENT_KEYS})
-
 
 #: Coefficients recovered from the league's published player-points page.
 REFERENCE_POINTS_MODEL = PointsModel(

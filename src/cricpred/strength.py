@@ -88,24 +88,32 @@ class TeamWeightLedger:
 
     @classmethod
     def from_dict(cls, doc):
-        """Raises ValueError on an unknown mode or a weight that is not a
-        finite JSON number (a string, boolean, null, NaN or infinity)."""
+        """Raises ValueError on an unknown mode, a team that is not a
+        string, a season that is not an integer, a weight that is not a
+        finite JSON number (a string, boolean, null, NaN or infinity), a
+        key given twice or, for ``per_match``, an ``as_of`` that is not an
+        ISO date (TypeError if it is not a string)."""
         import datetime as dt
         entries, seasons = {}, {}
         mode = doc["mode"]
         if mode not in (PER_SEASON, PER_MATCH):
             raise ValueError(f"unknown ledger mode {mode!r}")
         for row in doc["entries"]:
-            weight = row["weight"]
+            team, season, weight = row["team"], row["season"], row["weight"]
+            if type(team) is not str or type(season) is not int:
+                raise ValueError(f"ledger entry for team {team!r}, season {season!r}: "
+                                 "the team must be a string, the season an integer")
             if type(weight) not in (int, float) or not math.isfinite(weight):
-                raise ValueError(f"team {row['team']!r} has weight {weight!r}, "
+                raise ValueError(f"team {team!r} has weight {weight!r}, "
                                  "not a finite number")
             if mode == PER_SEASON:
-                entries[(row["team"], int(row["season"]))] = float(weight)
+                key = (team, season)
             else:
-                date = dt.date.fromisoformat(row["as_of"])
-                entries[(row["team"], date)] = float(weight)
-                seasons[(row["team"], date)] = int(row["season"])
+                key = (team, dt.date.fromisoformat(row["as_of"]))
+                seasons[key] = season
+            if key in entries:
+                raise ValueError(f"the ledger holds team {team!r} at {key[1]} twice")
+            entries[key] = float(weight)
         return cls(mode=mode, entries=entries, seasons=seasons)
 
 

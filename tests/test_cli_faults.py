@@ -303,9 +303,22 @@ def set_weights(value):
     return edit
 
 
+def set_first(key, value):
+    def edit(doc):
+        doc["team_weights"]["entries"][0][key] = value
+    return edit
+
+
+def repeat_last(doc):
+    """The last entry again, with another weight."""
+    entries = doc["team_weights"]["entries"]
+    entries.append({**entries[-1], "weight": 99.0})
+
+
 # (id, edits the per_match document?, edit of the document): a ledger whose
-# weights are not finite JSON numbers or whose mode is unknown. With an
-# unknown mode a per_season document fails on its "season" as_of dates
+# weights are not finite JSON numbers, whose mode is unknown, whose teams
+# and seasons are not strings and integers, or that holds a key twice. With
+# an unknown mode a per_season document fails on its "season" as_of dates
 # anyway, so that row edits a per_match document.
 LEDGER_FAULTS = [
     ("weights-string-nan", False, set_weights("nan")),
@@ -313,6 +326,11 @@ LEDGER_FAULTS = [
     ("weights-infinite", False, set_weights(float("inf"))),
     ("weights-boolean", False, set_weights(True)),
     ("mode-unknown", True, lambda d: d["team_weights"].update(mode="foo")),
+    ("season-key-twice", False, repeat_last),
+    ("date-key-twice", True, repeat_last),
+    ("season-boolean", False, set_first("season", True)),
+    ("season-fraction", False, set_first("season", 2017.9)),
+    ("team-number", False, set_first("team", 5)),
 ]
 
 
@@ -322,6 +340,37 @@ LEDGER_FAULTS = [
 def test_corrupt_ledger_exit_3(capsys, tmp_path, model, per_match_model,
                                per_match, fault, command):
     path = edited(tmp_path, per_match_model if per_match else model, fault)
+    argv = predict(path) if command == "predict" else report(tmp_path, path)
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
+def set_in(section, key, value):
+    def edit(doc):
+        doc[section][key] = value
+    return edit
+
+
+# (id, edit of the document): a spec, points model or row count that is
+# not of the schema's type or range
+DOCUMENT_FAULTS = [
+    ("points-coefficient-boolean", set_in("points_model", "per_wicket", True)),
+    ("points-coefficient-string", set_in("points_model", "per_wicket", "3.5")),
+    ("hyperparameter-unknown", set_in("spec", "hyperparameters", {"foo": "bar"})),
+    ("hyperparameter-out-of-range", set_in("spec", "hyperparameters", {"l2": -1.0})),
+    ("seed-boolean", set_in("spec", "seed", True)),
+    ("seed-string", set_in("spec", "seed", "12")),
+    ("training-rows-boolean", lambda d: d.update(training_rows=True)),
+    ("training-rows-string", lambda d: d.update(training_rows="12")),
+]
+
+
+@pytest.mark.parametrize("command", ["predict", "report"])
+@pytest.mark.parametrize("fault", [f[1] for f in DOCUMENT_FAULTS],
+                         ids=[f[0] for f in DOCUMENT_FAULTS])
+def test_corrupt_document_exit_3(capsys, tmp_path, model, fault, command):
+    path = edited(tmp_path, model, fault)
     argv = predict(path) if command == "predict" else report(tmp_path, path)
     assert main(argv) == 3
     err = capsys.readouterr().err

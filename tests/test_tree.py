@@ -10,10 +10,12 @@ from cricpred.kernels import (
 from cricpred.models import ensemble, make_spec, train
 from cricpred.models.linear import sigmoid
 from cricpred.models.tree import (
+    TABLE_DTYPES,
+    TABLE_KEYS,
+    check_table,
     draw_features,
     fit_classification_tree,
     fit_regression_tree,
-    flatten,
     grow_classification_trees,
     tree_predict_matrix,
 )
@@ -40,45 +42,33 @@ class TestThresholdBetweenAdjacentValues:
 
     def test_gini(self, lo):
         X, y = adjacent_pair(lo)
-        tree = fit_classification_tree(X, y)
-        assert lo < tree["threshold"] <= X[2, 0]
-        assert tree_predict_matrix(flatten([tree]), X)[0].tolist() == y.tolist()
+        table = fit_classification_tree(X, y)
+        assert lo < table["threshold"][0] <= X[2, 0]
+        assert tree_predict_matrix(table, X)[0].tolist() == y.tolist()
 
     def test_sse(self, lo):
         X, y = adjacent_pair(lo)
-        tree = fit_regression_tree(X, y, np.ones(4))
-        assert lo < tree["threshold"] <= X[2, 0]
-        leaves = [tree["left"]["value"]] * 2 + [tree["right"]["value"]] * 2
+        table = fit_regression_tree(X, y, np.ones(4))
+        assert lo < table["threshold"][0] <= X[2, 0]
+        value, left, right = table["value"], table["left"][0], table["right"][0]
+        leaves = [value[left]] * 2 + [value[right]] * 2
         assert leaves[0] != leaves[2]
-        assert tree_predict_matrix(flatten([tree]), X)[0].tolist() == leaves
+        assert tree_predict_matrix(table, X)[0].tolist() == leaves
 
 
-# --- the node table against the nested trees it was flattened from -------
+# --- the vectorized descent against a scalar one over the same table -----
 
-def walk(node, row):
-    """Reference descent: one row through one nested tree."""
-    while "value" not in node:
-        node = node["left"] if row[node["feature"]] < node["threshold"] else node["right"]
-    return node["value"]
-
-
-def walk_matrix(trees, X):
-    return np.array([[walk(tree, row) for row in X] for tree in trees],
-                    dtype=np.float64)
+def walk(table, node, row):
+    """Reference descent: one row from one root, one node at a time."""
+    while table["left"][node] != node:
+        go_left = row[table["feature"][node]] < table["threshold"][node]
+        node = table["left"][node] if go_left else table["right"][node]
+    return table["value"][node]
 
 
-def grown(monkeypatch, kind, data, **hyperparameters):
-    """The trained model and the nested trees its ensemble was flattened
-    from."""
-    seen = []
-
-    def spy(trees):
-        seen.append(trees)
-        return flatten(trees)
-
-    monkeypatch.setattr(ensemble, "flatten", spy)
-    model = train(make_spec(kind, seed=3, **hyperparameters), data)
-    return model, seen[-1]
+def walk_matrix(table, X):
+    return np.array([[walk(table, root, row) for row in X]
+                     for root in table["roots"]], dtype=np.float64)
 
 
 def random_rows(data, n=200):
@@ -99,19 +89,19 @@ ENSEMBLES = {"random_forest": {"n_trees": 30},
 
 @pytest.mark.parametrize("kind", ENSEMBLES)
 @pytest.mark.parametrize("source", DATASETS)
-def test_ensemble_matches_nested_walk(monkeypatch, source, kind):
+def test_ensemble_matches_nested_walk(source, kind):
     data = DATASETS[source]()
-    model, trees = grown(monkeypatch, kind, data, **ENSEMBLES[kind])
+    model = train(make_spec(kind, seed=3, **ENSEMBLES[kind]), data)
     params = model.parameters
     for X in (data.X, random_rows(data), np.zeros((0, data.X.shape[1]))):
-        leaves = walk_matrix(trees, X)
-        assert np.array_equal(tree_predict_matrix(flatten(trees), X), leaves)
+        leaves = walk_matrix(params, X)
+        assert np.array_equal(tree_predict_matrix(params, X), leaves)
         # the ensemble sums its trees in tree order, one tree at a time
         if kind == "random_forest":
             expected = np.zeros(X.shape[0])
             for v in leaves:
                 expected += v
-            expected = expected / len(trees)
+            expected = expected / len(params["roots"])
         else:
             f = np.full(X.shape[0], params["base_score"])
             for v in leaves:
@@ -123,13 +113,14 @@ def test_ensemble_matches_nested_walk(monkeypatch, source, kind):
 @pytest.mark.parametrize("lo", LOWS)
 def test_adjacent_doubles_match_nested_walk(lo):
     X, y = adjacent_pair(lo)
-    trees = [fit_classification_tree(X, y), fit_regression_tree(X, y, np.ones(4))]
-    t = trees[0]["threshold"]
+    tables = [fit_classification_tree(X, y), fit_regression_tree(X, y, np.ones(4))]
+    t = tables[0]["threshold"][0]
     probes = np.array([[lo], [np.nextafter(t, -np.inf)], [t], [-np.inf],
                        [np.inf], [np.nan]])
     for rows in (X, probes):
-        assert np.array_equal(tree_predict_matrix(flatten(trees), rows),
-                              walk_matrix(trees, rows))
+        for table in tables:
+            assert np.array_equal(tree_predict_matrix(table, rows),
+                                  walk_matrix(table, rows))
 
 
 def test_random_matrices_match_nested_walk():
@@ -138,36 +129,41 @@ def test_random_matrices_match_nested_walk():
         X = rng.normal(size=(80, 4))
         X[:, 0] = rng.integers(0, 2, size=80)
         y = (X[:, 1] + rng.normal(scale=0.5, size=80) > 0).astype(np.float64)
-        trees = [fit_classification_tree(X, y, rng=rng, max_features=2)
-                 for _ in range(3)]
-        trees.append(fit_regression_tree(X, y - 0.5, np.full(80, 0.25)))
+        tables = [fit_classification_tree(X, y, rng=rng, max_features=2)
+                  for _ in range(3)]
+        tables.append(fit_regression_tree(X, y - 0.5, np.full(80, 0.25)))
         rows = rng.normal(size=(150, 4))
-        assert np.array_equal(tree_predict_matrix(flatten(trees), rows),
-                              walk_matrix(trees, rows))
+        for table in tables:
+            assert np.array_equal(tree_predict_matrix(table, rows),
+                                  walk_matrix(table, rows))
 
 
 def test_flatten_layout():
-    """Preorder; a leaf points to itself and reads column 0."""
-    stump = {"feature": 2, "threshold": 0.5,
-             "left": {"value": 0.25},
-             "right": {"feature": 1, "threshold": -1.0,
-                       "left": {"value": 0.5}, "right": {"value": 0.75}}}
-    table = flatten([stump, {"value": 1.0}])
+    """Preorder: a left child right after its parent, the right child after
+    the left child's subtree. A leaf points to itself and reads column 0
+    with threshold 0, and an internal node's value is 0. The root splits
+    column 0 at 3.5; its left child (node 1) splits the 0/1 column, so the
+    right child comes after a subtree of three nodes."""
+    X = np.column_stack([np.arange(7.0), [0, 1, 0, 0, 1, 0, 1]])
+    y = np.array([0.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0])
+    table = fit_classification_tree(X, y)
     assert {k: v.tolist() for k, v in table.items()} == {
-        "roots": [0, 5],
-        "feature": [2, 0, 1, 0, 0, 0],
-        "threshold": [0.5, 0.0, -1.0, 0.0, 0.0, 0.0],
-        "left": [1, 1, 3, 3, 4, 5],
-        "right": [2, 1, 4, 3, 4, 5],
-        "value": [0.0, 0.25, 0.0, 0.5, 0.75, 1.0],
+        "roots": [0],
+        "feature": [0, 1, 0, 0, 0, 0, 0],
+        "threshold": [3.5, 0.5, 0.0, 0.0, 5.5, 0.0, 0.0],
+        "left": [1, 2, 2, 3, 5, 5, 6],
+        "right": [4, 3, 2, 3, 6, 5, 6],
+        "value": [0.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0],
     }
+    assert {k: v.dtype for k, v in table.items()} == TABLE_DTYPES
 
 
 # --- the breadth-first grower against the depth-first one it replaced ----
 #
 # ``ref_grow``/``ref_best_split`` are the recursive grower as it was before
-# trees grew level by level, calling the kernels with one segment. With
-# every column a candidate, the two must give the same nested dicts.
+# trees grew level by level, calling the kernels with one segment; it
+# builds nested dicts, and ``flatten`` lays them out as a node table. With
+# every column a candidate, the grown table must equal the reference's.
 
 _INF = float("inf")
 
@@ -245,6 +241,38 @@ def ref_regression_tree(X, grad, hess, min_leaf, max_depth):
                     count_split_sse, True)
 
 
+def flatten(trees):
+    """The node table of the nested ``trees``: each tree's nodes in
+    preorder."""
+    table = {k: [] for k in TABLE_KEYS}
+    feature, threshold, left, right, value = (table[k] for k in TABLE_KEYS[1:])
+
+    def visit(node):
+        i = len(value)
+        leaf = "value" in node
+        feature.append(0 if leaf else node["feature"])
+        threshold.append(0.0 if leaf else node["threshold"])
+        value.append(node["value"] if leaf else 0.0)
+        left.append(i)
+        right.append(i)
+        if not leaf:
+            left[i] = visit(node["left"])
+            right[i] = visit(node["right"])
+        return i
+
+    for tree in trees:
+        table["roots"].append(visit(tree))
+    return {k: np.array(table[k], dtype=TABLE_DTYPES[k]) for k in TABLE_KEYS}
+
+
+def assert_same_table(got, want):
+    """Equal node tables, down to the dtype and the bits of every float."""
+    assert list(got) == list(want)
+    for k in TABLE_KEYS:
+        assert got[k].dtype == want[k].dtype, k
+        assert got[k].tobytes() == want[k].tobytes(), k
+
+
 def mixed_matrix(rng, n):
     """Columns of every kind the split search tells apart: 0/1, constant,
     tied, 0/2 (numeric, not 0/1), adjacent doubles and continuous."""
@@ -286,8 +314,8 @@ GROWTH = [(min_leaf, max_depth) for min_leaf in (1, 2, 3, 4)
 @pytest.mark.parametrize("min_leaf, max_depth", GROWTH)
 @pytest.mark.parametrize("name, X, y", MATRICES, ids=[m[0] for m in MATRICES])
 def test_gini_tree_matches_depth_first(name, X, y, min_leaf, max_depth):
-    assert (fit_classification_tree(X, y, min_leaf, max_depth)
-            == ref_classification_tree(X, y, min_leaf, max_depth))
+    assert_same_table(fit_classification_tree(X, y, min_leaf, max_depth),
+                      flatten([ref_classification_tree(X, y, min_leaf, max_depth)]))
 
 
 @pytest.mark.parametrize("min_leaf, max_depth", GROWTH)
@@ -297,8 +325,9 @@ def test_sse_tree_matches_depth_first(name, X, y, min_leaf, max_depth):
     p = np.clip(rng.random(y.size), 0.05, 0.95)
     grad = (y - p) * 10.0 ** rng.integers(-3, 4, size=y.size)
     hess = p * (1.0 - p)
-    assert (fit_regression_tree(X, grad, hess, min_leaf, max_depth)
-            == ref_regression_tree(X, grad, hess, min_leaf, max_depth))
+    assert_same_table(
+        fit_regression_tree(X, grad, hess, min_leaf, max_depth),
+        flatten([ref_regression_tree(X, grad, hess, min_leaf, max_depth)]))
 
 
 @pytest.mark.parametrize("min_leaf, max_depth", [(1, None), (3, None), (2, 3)])
@@ -309,9 +338,26 @@ def test_bootstrap_batch_matches_depth_first(name, X, y, min_leaf, max_depth):
     rng = np.random.default_rng(7)
     roots = [rng.integers(0, X.shape[0], size=X.shape[0]) for _ in range(5)]
     roots.append(np.arange(X.shape[0]))
-    trees = grow_classification_trees(X, y, roots, min_leaf, max_depth)
-    assert trees == [ref_classification_tree(X[r], y[r], min_leaf, max_depth)
-                     for r in roots]
+    table = grow_classification_trees(X, y, roots, min_leaf, max_depth)
+    assert_same_table(table, flatten([
+        ref_classification_tree(X[r], y[r], min_leaf, max_depth) for r in roots]))
+
+
+@pytest.mark.parametrize("name, X, y", MATRICES, ids=[m[0] for m in MATRICES])
+def test_grown_table_is_preorder(name, X, y):
+    """Every grown table is valid, and every internal node's left child is
+    the next node, for a batch of trees and for a regression tree."""
+    rng = np.random.default_rng(9)
+    roots = [rng.integers(0, X.shape[0], size=X.shape[0]) for _ in range(4)]
+    tables = [grow_classification_trees(X, y, roots, rngs=[rng] * 4,
+                                        max_features=3),
+              fit_regression_tree(X, y - 0.5, np.full(y.size, 0.25), max_depth=4)]
+    for table in tables:
+        check_table(table, X.shape[1])
+        node = np.arange(table["value"].size)
+        internal = table["left"] != node
+        assert internal.any()
+        assert np.array_equal(table["left"][internal], node[internal] + 1)
 
 
 def test_level_draw():
