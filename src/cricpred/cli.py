@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 from pathlib import Path
 
@@ -34,13 +35,18 @@ CONFIG_KEYS = {"matches", "players", "model", "out_dir", "mode", "kind", "k",
                "seed", "holdout_season", "target_count", "resamples"}
 
 
-def _with_config(argv):
-    """``argv`` with the ``--config`` file's lines inserted after the
-    subcommand as ``--key=value`` flags."""
+@functools.cache
+def _config_parser():
     pre = argparse.ArgumentParser(prog="cricpred", add_help=False,
                                   allow_abbrev=False)
     pre.add_argument("--config")
-    path = pre.parse_known_args(argv)[0].config
+    return pre
+
+
+def _with_config(argv):
+    """``argv`` with the ``--config`` file's lines inserted after the
+    subcommand as ``--key=value`` flags."""
+    path = _config_parser().parse_known_args(argv)[0].config
     if path is None:
         return argv
     try:
@@ -202,13 +208,15 @@ def cmd_cv(args):
     return 0
 
 
-def _latest_weight(ledger, team):
-    candidates = [(s, a, w) for t, s, a, w in ledger.rows() if t == team]
-    if not candidates:
-        raise errors.PredictionInputError(
-            f"team {team} is absent from the model's weight ledger and no "
-            "cold-start data exists")
-    return candidates[-1][2]
+def _latest_weights(ledger, teams):
+    """Each team's weight in its last ledger row, from one walk of the rows."""
+    latest = {t: w for t, _, _, w in ledger.rows() if t in teams}
+    for team in teams:
+        if team not in latest:
+            raise errors.PredictionInputError(
+                f"team {team} is absent from the model's weight ledger and no "
+                "cold-start data exists")
+    return [latest[team] for team in teams]
 
 
 def cmd_predict(args):
@@ -221,8 +229,7 @@ def cmd_predict(args):
             f"toss_winner {toss_winner} is not one of the two teams")
     if document.ledger is None:
         raise errors.PredictionInputError("model document carries no team weights")
-    w1 = _latest_weight(document.ledger, home)
-    w2 = _latest_weight(document.ledger, away)
+    w1, w2 = _latest_weights(document.ledger, (home, away))
     row = encode_values(
         document.model.schema,
         {"home_team": home, "away_team": away, "toss_winner": toss_winner,
@@ -309,7 +316,10 @@ def _at_least(minimum):
     return integer
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process: ``parse_args``
+    keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="cricpred",
         description="Twenty20 league match-outcome prediction pipeline")

@@ -3,6 +3,7 @@ plus the JSON model-document format."""
 
 from __future__ import annotations
 
+import base64
 import itertools
 import json
 import math
@@ -15,6 +16,7 @@ import numpy as np
 from ..errors import (
     CorruptDocument,
     InvalidHyperparameter,
+    ModelError,
     SchemaMismatch,
     SingleClassData,
     VersionMismatch,
@@ -23,7 +25,7 @@ from ..scoring import COEFFICIENT_KEYS, PointsModel
 from ..strength import TeamWeightLedger
 from . import ensemble, linear, mlp, naive_bayes, tree
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 LABEL_CONVENTION = "1=home_team_win"
 
 
@@ -133,25 +135,59 @@ def _train_naive_bayes(X, y, hp, seed, schema):
     return naive_bayes.train_naive_bayes(X, y, hp, seed, schema.binary_mask())
 
 
-def _numbers(value, name, shape=(), dtype=np.float64):
-    """``value`` as an array of ``dtype`` and ``shape``, a float for ``()``.
+def _numbers(value, name, shape=()):
+    """``value`` as a float64 array of ``shape``, a float for ``()``.
     Raises ValueError unless it is nested lists of exactly that shape
     holding finite JSON numbers (not strings, booleans, nulls, NaN or
-    infinities), and only integers for an integer ``dtype``."""
+    infinities)."""
     flat = [value]
     for size in shape:
         if any(type(v) is not list or len(v) != size for v in flat):
             raise ValueError(f"{name} is not a list of shape {shape}")
         flat = flat[0] if len(flat) == 1 else list(itertools.chain.from_iterable(flat))
-    allowed = {int} if dtype == np.int64 else {int, float}
-    wrong = set(map(type, flat)) - allowed
+    wrong = set(map(type, flat)) - {int, float}
     if wrong:
         raise ValueError(f"{name} holds {', '.join(sorted(t.__name__ for t in wrong))}, "
-                         f"not {'integers' if dtype == np.int64 else 'numbers'}")
-    array = np.fromiter(flat, dtype, count=len(flat)).reshape(shape)
+                         "not numbers")
+    array = np.fromiter(flat, np.float64, count=len(flat)).reshape(shape)
     if not np.isfinite(array).all():
         raise ValueError(f"{name} holds a NaN or an infinity")
     return float(array) if shape == () else array
+
+
+# How a document stores each node-table array: the base64 of its
+# little-endian bytes, node indices and columns in 4 bytes.
+WIRE_DTYPES = {"roots": "<i4", "feature": "<i4", "threshold": "<f8",
+               "left": "<i4", "right": "<i4", "value": "<f8"}
+
+
+def _encode_array(array, key):
+    """The node-table array ``key`` as base64 of its ``WIRE_DTYPES`` bytes.
+    Raises ModelError if a value does not survive the cast."""
+    wire = array.astype(WIRE_DTYPES[key])
+    if not np.array_equal(wire, array, equal_nan=True):
+        raise ModelError(f"{key} holds a value that {WIRE_DTYPES[key]} cannot hold")
+    return base64.b64encode(wire.tobytes()).decode("ascii")
+
+
+def _decode_array(text, key):
+    """The node-table array ``key`` that ``_encode_array`` stored as
+    ``text``, in ``tree.TABLE_DTYPES``. Raises ValueError unless ``text``
+    is a base64 string of whole items holding only finite values."""
+    if not isinstance(text, str):
+        raise ValueError(f"{key} is not a base64 string")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or a character beyond ASCII
+        raise ValueError(f"{key} is not base64: {exc}") from None
+    item = np.dtype(WIRE_DTYPES[key])
+    if len(raw) % item.itemsize:
+        raise ValueError(f"{key} holds {len(raw)} bytes, not whole "
+                         f"{item.itemsize}-byte items")
+    array = np.frombuffer(raw, item).astype(tree.TABLE_DTYPES[key])
+    if not np.isfinite(array).all():
+        raise ValueError(f"{key} holds a NaN or an infinity")
+    return array
 
 
 def _load_naive_bayes(parameters, schema):
@@ -194,8 +230,7 @@ def _load_mlp(parameters, schema):
 
 
 def _load_table(parameters, schema):
-    table = {key: _numbers(parameters[key], key, (len(parameters[key]),),
-                           tree.TABLE_DTYPES[key]) for key in tree.TABLE_KEYS}
+    table = {key: _decode_array(parameters[key], key) for key in tree.TABLE_KEYS}
     tree.check_table(table, schema.total_columns)
     return table
 
@@ -311,7 +346,8 @@ def serialize(model: TrainedClassifier, points_model: PointsModel | None = None,
         "training_rows": model.training_rows,
         "points_model": points_model.to_dict() if points_model else None,
         "team_weights": ledger.to_dict() if ledger else None,
-        "parameters": _plain(model.parameters),
+        "parameters": {k: _encode_array(v, k) if k in WIRE_DTYPES else _plain(v)
+                       for k, v in model.parameters.items()},
     }
 
 

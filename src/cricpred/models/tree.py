@@ -24,7 +24,10 @@ places them once the last level is grown (``_preorder``). A row goes to
 ``left`` when its ``feature`` column is below ``threshold``. A leaf's
 ``left`` and ``right`` are its own index, and its ``feature`` and
 ``threshold`` are 0, so ``tree_predict_matrix`` moves every (tree, row)
-pair down one level per step until none moves.
+pair down one level per step until none moves. The arrays are int64 and
+float64 (``TABLE_DTYPES``); a model document stores each as the base64
+of its little-endian bytes, node indices and columns as 4-byte integers,
+and loading gives back these dtypes (``models/base.py``).
 
 Columns whose every value is 0.0 or 1.0 (the dummy-coded categoricals) are
 scored from counts; other columns are sorted and scanned. Both paths give

@@ -1,3 +1,4 @@
+import base64
 import importlib.resources
 
 import numpy as np
@@ -11,6 +12,29 @@ from cricpred.strength import build_ledger
 
 def fixture_path(name):
     return str(importlib.resources.files("cricpred.fixtures") / name)
+
+
+# How a format_version 3 document stores each node-table array: the base64
+# of its bytes in this dtype.
+TABLE_WIRE = {"roots": "<i4", "feature": "<i4", "threshold": "<f8",
+              "left": "<i4", "right": "<i4", "value": "<f8"}
+
+
+def table_lists(parameters):
+    """Turn the node-table arrays stored in a document's ``parameters``
+    into JSON lists, in place; other parameters are left alone."""
+    for key, dtype in TABLE_WIRE.items():
+        if key in parameters:
+            raw = base64.b64decode(parameters[key], validate=True)
+            parameters[key] = np.frombuffer(raw, dtype).tolist()
+
+
+def table_strings(parameters):
+    """The inverse of ``table_lists``: store the lists again, in place."""
+    for key, dtype in TABLE_WIRE.items():
+        if key in parameters:
+            raw = np.asarray(parameters[key], dtype=dtype).tobytes()
+            parameters[key] = base64.b64encode(raw).decode("ascii")
 
 
 def fixture_dataset():

@@ -148,6 +148,32 @@ class TestPredict:
         assert code == 4
         assert "SRH" in err
 
+    def test_away_team_without_ledger_entry_exit_4(self, capsys, model_path):
+        code, _, err = run(capsys, "predict", "--model", model_path,
+                           "--home", "CSK", "--away", "SRH",
+                           "--venue", "Dr DY Patil Sports Academy",
+                           "--toss-winner", "CSK", "--toss-decision", "bat")
+        assert code == 4
+        assert err == ("error: team SRH is absent from the model's weight "
+                       "ledger and no cold-start data exists\n")
+
+    def test_no_state_between_calls(self, capsys, tmp_path, model_path):
+        """One process, one parser: a ``--model`` read from ``--config``
+        does not stay for the next call, and a usage error does not stop
+        the call after it."""
+        toss = ["--home", "CSK", "--away", "RR", "--toss-winner", "CSK",
+                "--venue", "Dr DY Patil Sports Academy", "--toss-decision", "bat"]
+        cfg = tmp_path / "predict.cfg"
+        cfg.write_text(f"model = {model_path}\n")
+        code, out, _ = run(capsys, "predict", "--config", str(cfg), *toss)
+        assert code == 0 and out.startswith("predicted winner:")
+        code, out, err = run(capsys, "predict", *toss)
+        assert code == 2 and out == ""
+        assert err.startswith("usage: ")
+        assert "the following arguments are required: --model" in err
+        code, out, _ = run(capsys, "predict", "--model", model_path, *toss)
+        assert code == 0 and out.startswith("predicted winner:")
+
     def test_corrupt_model_exit_3(self, capsys, tmp_path, model_path):
         broken = tmp_path / "broken.json"
         blob = open(model_path).read()

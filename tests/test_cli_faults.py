@@ -2,6 +2,8 @@
 exit code of its error family. No row may end in a traceback, and every
 error that is not an argparse usage error is one ``error: ...`` line."""
 
+import base64
+import functools
 import json
 import os
 import subprocess
@@ -14,7 +16,7 @@ from cricpred import errors
 from cricpred.cli import main
 from cricpred.models import KINDS
 
-from conftest import fixture_path
+from conftest import fixture_path, table_lists, table_strings
 
 MATCHES = fixture_path("matches.csv")
 PLAYERS = fixture_path("players.csv")
@@ -163,10 +165,12 @@ FAULTS = [
     ("predict-binary-document", 3, False, lambda t, m: predict(binary(t))),
     ("predict-format-version-0", 3, False,
      lambda t, m: predict(edited(t, m, lambda d: d.update(format_version=0)))),
-    # a version 1 document: the two versions of a logistic_regression
-    # document differ only in format_version
+    # documents of versions 1 and 2: a logistic_regression document
+    # differs from them only in format_version
     ("predict-format-version-1", 3, False,
      lambda t, m: predict(edited(t, m, lambda d: d.update(format_version=1)))),
+    ("predict-format-version-2", 3, False,
+     lambda t, m: predict(edited(t, m, lambda d: d.update(format_version=2)))),
     ("report-format-version-1", 3, False,
      lambda t, m: report(t, edited(t, m, lambda d: d.update(format_version=1)))),
     ("predict-emptied-parameters", 3, False,
@@ -204,10 +208,23 @@ def internal(p):
     return [i for i, child in enumerate(p["left"]) if child != i]
 
 
+def on_lists(edit):
+    """``edit`` of a node table's arrays as JSON lists: the document's
+    stored arrays are decoded first and stored again after."""
+    @functools.wraps(edit)
+    def stored(p, *args):
+        table_lists(p)
+        edit(p, *args)
+        table_strings(p)
+    return stored
+
+
+@on_lists
 def child_out_of_range(p):
     p["right"][internal(p)[0]] = len(p["value"])
 
 
+@on_lists
 def cycle(p):
     """An internal left child points back at its parent."""
     inner = internal(p)
@@ -215,31 +232,44 @@ def cycle(p):
     p["left"][p["left"][parent]] = parent
 
 
+@on_lists
 def feature_out_of_range(p):
     p["feature"][internal(p)[0]] = 99
 
 
+@on_lists
 def unequal_lengths(p):
     del p["threshold"][-1]
 
 
+@on_lists
 def leaf_value_nan(p):
     leaf = next(i for i, child in enumerate(p["left"]) if child == i)
     p["value"][leaf] = float("nan")
 
 
+@on_lists
 def threshold_nan(p):
     p["threshold"][internal(p)[0]] = float("nan")
 
 
-def feature_fraction(p):
-    p["feature"][internal(p)[0]] += 0.5
+def invalid_base64_character(p):
+    p["feature"] = "*" + p["feature"][1:]
 
 
-def boolean_root(p):
-    p["roots"][0] = True
+def ragged_byte_length(p):
+    """The threshold bytes less one: not a whole number of 8-byte items."""
+    raw = base64.b64decode(p["threshold"])[:-1]
+    p["threshold"] = base64.b64encode(raw).decode("ascii")
 
 
+def version_2_table(p):
+    """JSON lists where base64 strings belong: a version 2 table under a
+    version 3 header."""
+    table_lists(p)
+
+
+@on_lists
 def set_leaves(p, value):
     """Every leaf with a nonzero value gets ``value``."""
     for i, child in enumerate(p["left"]):
@@ -248,7 +278,8 @@ def set_leaves(p, value):
 
 
 TABLE_FAULTS = [child_out_of_range, cycle, feature_out_of_range, unequal_lengths,
-                leaf_value_nan, threshold_nan, feature_fraction, boolean_root]
+                leaf_value_nan, threshold_nan, invalid_base64_character,
+                ragged_byte_length, version_2_table]
 
 
 @pytest.mark.parametrize("command", ["predict", "report"])

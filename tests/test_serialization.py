@@ -3,7 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from cricpred.errors import CorruptDocument, SchemaMismatch, VersionMismatch
+from cricpred.cli import main
+from cricpred.errors import (
+    CorruptDocument,
+    ModelError,
+    SchemaMismatch,
+    VersionMismatch,
+)
 from cricpred.models import (
     FORMAT_VERSION,
     KINDS,
@@ -14,15 +20,27 @@ from cricpred.models import (
     serialize,
     train,
 )
+from cricpred.models.base import _encode_array
+from cricpred.models.tree import TABLE_DTYPES
 from cricpred.scoring import REFERENCE_POINTS_MODEL
 
-from conftest import separable_dataset
+from conftest import fixture_path, separable_dataset
 
 
 def small_spec(kind):
     extra = {"mlp": {"epochs": 30}, "random_forest": {"n_trees": 20},
              "gradient_boosting": {"n_rounds": 30}}.get(kind, {})
     return make_spec(kind, seed=2, **extra)
+
+
+@pytest.fixture(scope="module")
+def fixture_documents(tmp_path_factory):
+    """The six documents ``train --kind all`` writes for the fixture."""
+    out = tmp_path_factory.mktemp("fixture_documents")
+    assert main(["train", "--matches", fixture_path("matches.csv"),
+                 "--players", fixture_path("players.csv"), "--kind", "all",
+                 "--out-dir", str(out)]) == 0
+    return out
 
 
 class TestRoundTrip:
@@ -40,6 +58,21 @@ class TestRoundTrip:
                               restored.model.predict_proba_matrix(rows))
         assert restored.points_model == REFERENCE_POINTS_MODEL
         assert restored.model.spec == model.spec
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_load_and_save_reproduce_the_file(self, kind, fixture_documents,
+                                              tmp_path):
+        """A saved document, loaded and saved again, is the same bytes, and
+        its node tables load in the dtypes the tree code computes in."""
+        path = fixture_documents / f"model_{kind}.json"
+        loaded = load_document(path)
+        again = tmp_path / "again.json"
+        save_document(serialize(loaded.model, loaded.points_model, loaded.ledger),
+                      again)
+        assert again.read_bytes() == path.read_bytes()
+        if kind in ("random_forest", "gradient_boosting"):
+            parameters = loaded.model.parameters
+            assert {k: parameters[k].dtype for k in TABLE_DTYPES} == TABLE_DTYPES
 
     def test_document_fields(self):
         data = separable_dataset(n=120, seed=0)
@@ -77,6 +110,12 @@ class TestRejections:
         doc["format_version"] = FORMAT_VERSION + 1
         with pytest.raises(VersionMismatch):
             deserialize(doc)
+
+    def test_node_index_beyond_four_bytes(self):
+        """A node index that a 4-byte integer would wrap is refused."""
+        with pytest.raises(ModelError, match="left"):
+            _encode_array(np.array([0, 2**31]), "left")
+        assert _encode_array(np.array([0, 2**31 - 1]), "left") == "AAAAAP///38="
 
     def test_wrong_width_rows(self):
         doc, data = self.make_doc()
