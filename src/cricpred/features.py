@@ -77,10 +77,28 @@ class FeatureSchema:
 
     @classmethod
     def from_dict(cls, doc):
-        return cls(
-            categorical_groups=tuple(
-                (g["name"], tuple(g["categories"])) for g in doc["categorical_groups"]),
-            numeric_features=tuple(doc["numeric_features"]))
+        """Raises ValueError unless, as in every schema ``build_schema`` and
+        ``subset`` make, the group names and the numeric names are ordered
+        subsequences of ``CATEGORICAL_FEATURES`` and ``NUMERIC_FEATURES``
+        and each group's categories are a non-empty, strictly ascending
+        list of strings."""
+        groups = tuple((g["name"], g["categories"]) for g in doc["categorical_groups"])
+        numeric = doc["numeric_features"]
+        for what, names, known in (
+                ("categorical groups", [name for name, _ in groups], CATEGORICAL_FEATURES),
+                ("numeric features", numeric, NUMERIC_FEATURES)):
+            remaining = iter(known)
+            if type(names) is not list or not all(name in remaining for name in names):
+                raise ValueError(f"{what} {names!r} are not an ordered "
+                                 f"subsequence of {known}")
+        for name, cats in groups:
+            if (type(cats) is not list or not cats
+                    or any(type(c) is not str for c in cats)
+                    or any(a >= b for a, b in zip(cats, cats[1:]))):
+                raise ValueError(f"categories of {name!r} are not a non-empty, "
+                                 "strictly ascending list of strings")
+        return cls(categorical_groups=tuple((name, tuple(cats)) for name, cats in groups),
+                   numeric_features=tuple(numeric))
 
     def fingerprint(self):
         payload = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))

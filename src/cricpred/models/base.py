@@ -361,8 +361,13 @@ def deserialize(doc: dict) -> ModelDocument:
     from ..features import FeatureSchema
 
     try:
+        if doc["label_convention"] != LABEL_CONVENTION:
+            raise ValueError(f"label_convention {doc['label_convention']!r} is not "
+                             f"{LABEL_CONVENTION!r}")
         spec = ClassifierSpec.from_dict(doc["spec"])
         schema = FeatureSchema.from_dict(doc["schema"])
+        if doc["schema_fingerprint"] != schema.fingerprint():
+            raise ValueError("schema_fingerprint does not match the schema")
         classifier = CLASSIFIERS[spec.kind]
         spec.resolved_hyperparameters()  # raises InvalidHyperparameter
         training_rows = doc["training_rows"]

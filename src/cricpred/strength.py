@@ -1,8 +1,10 @@
 """Team strength: top-11 player points divided by team appearances.
 
-Both ledger modes start from one season weight per (team, season): the
-points of its 11 most-appearing players over its decisive matches that
-season. ``per_season`` uses that weight for every match of the season.
+A ledger build scores each player row once with the points model; every
+weight below is a top-11 sum over those scored rosters. Both ledger modes
+start from one season weight per (team, season): the points of its 11
+most-appearing players over its decisive matches that season.
+``per_season`` uses that weight for every match of the season.
 ``per_match`` gives a team, before each match, the weight after its ``k``
 strictly earlier decisive matches of the season: each player scores
 ``points / max(appearances, k)`` (0.0 with no appearances), and the 11
@@ -22,7 +24,7 @@ import math
 import statistics
 from dataclasses import dataclass, field
 
-from .dataset import MatchDataset, MatchRecord, PlayerPerformance
+from .dataset import MatchDataset, MatchRecord
 from .errors import EmptyRoster, LedgerMiss, MissingRoster, ZeroAppearances
 from .scoring import PointsModel, score_player
 
@@ -40,15 +42,15 @@ def team_weight(points_model: PointsModel, roster, team_appearances: int) -> flo
         raise EmptyRoster("roster is empty")
     if team_appearances < 1:
         raise ZeroAppearances(f"team_appearances must be >= 1, got {team_appearances}")
-    return _top_sum([(p.appearances, score_player(points_model, p), p.player)
-                     for p in roster]) / team_appearances
+    return _season_weight([(p.appearances, score_player(points_model, p), p.player)
+                           for p in roster], team_appearances)
 
 
 def _top_sum(scored):
     """Points summed over the first 11 of ``(appearances, points, player)``
-    tuples, ordered by most appearances, then higher points, then name."""
-    scored.sort(key=lambda t: (-t[0], -t[1], t[2]))
-    return sum(points for _, points, _ in scored[:TOP_PLAYERS])
+    triples, ordered by most appearances, then higher points, then name."""
+    ranked = sorted(scored, key=lambda t: (-t[0], -t[1], t[2]))
+    return sum(points for _, points, _ in ranked[:TOP_PLAYERS])
 
 
 @dataclass(frozen=True)
@@ -123,29 +125,22 @@ def lookup_weights(ledger: TeamWeightLedger, match: MatchRecord):
             ledger.weight_for(match.away_team, match))
 
 
-def _roster_index(performances):
-    index = {}
-    for perf in performances:
-        index.setdefault((perf.team, perf.season), []).append(perf)
-    return index
-
-
-def _season_weight(points_model, roster, decisive):
-    """``team_weight`` over ``decisive`` matches. With none, the most any
-    player appeared, a lower bound on the team's matches, stands in."""
+def _season_weight(scored, decisive):
+    """Top-11 sum of scored ``(appearances, points, player)`` triples over
+    ``decisive`` matches. With none, the most any player appeared, a lower
+    bound on the team's matches, stands in."""
     if decisive < 1:
-        decisive = max(1, max(p.appearances for p in roster))
-    return team_weight(points_model, roster, decisive)
+        decisive = max(1, max(appearances for appearances, _, _ in scored))
+    return _top_sum(scored) / decisive
 
 
-def _rolling_weight(points_model, roster, k):
+def _rolling_weight(scored, k):
     """Pro-rated weight after ``k`` decisive matches: the top-11 sum of
     ``points / max(appearances, k)``, ranked by ``min(appearances, k)``."""
-    return _top_sum([
-        (min(p.appearances, k),
-         score_player(points_model, p) / max(p.appearances, k) if p.appearances > 0 else 0.0,
-         p.player)
-        for p in roster])
+    return _top_sum([(min(appearances, k),
+                      points / max(appearances, k) if appearances > 0 else 0.0,
+                      player)
+                     for appearances, points, player in scored])
 
 
 def build_ledger(points_model: PointsModel, performances, dataset: MatchDataset,
@@ -153,7 +148,10 @@ def build_ledger(points_model: PointsModel, performances, dataset: MatchDataset,
     """Compute team weights for every (team, match context) in the dataset."""
     if mode not in (PER_SEASON, PER_MATCH):
         raise ValueError(f"unknown ledger mode {mode!r}")
-    rosters = _roster_index(performances)
+    rosters = {}  # (team, season) -> the roster scored once
+    for p in performances:
+        rosters.setdefault((p.team, p.season), []).append(
+            (p.appearances, score_player(points_model, p), p.player))
     dates, decisive = {}, {}  # (team, season) -> all / decisive match dates
     for m in dataset.matches:
         for team in (m.home_team, m.away_team):
@@ -168,7 +166,7 @@ def build_ledger(points_model: PointsModel, performances, dataset: MatchDataset,
         if not roster:
             raise MissingRoster(f"no performance rows for team {team} in season {season}")
         season_weights[(team, season)] = _season_weight(
-            points_model, roster, len(decisive[(team, season)]))
+            roster, len(decisive[(team, season)]))
     if mode == PER_SEASON:
         return TeamWeightLedger(mode=PER_SEASON, entries=season_weights)
 
@@ -177,7 +175,7 @@ def build_ledger(points_model: PointsModel, performances, dataset: MatchDataset,
         prior = [s for t, s in season_weights if t == team and s < season]
         if prior:
             return season_weights[(team, max(prior))]
-        return statistics.median(_season_weight(points_model, rosters[key], 0)
+        return statistics.median(_season_weight(rosters[key], 0)
                                  for key in season_weights if key[1] == season)
 
     entries, seasons = {}, {}
@@ -186,7 +184,7 @@ def build_ledger(points_model: PointsModel, performances, dataset: MatchDataset,
         for date in sorted(team_dates):
             so_far = bisect.bisect_left(played, date)
             if so_far:
-                weight = _rolling_weight(points_model, rosters[(team, season)], so_far)
+                weight = _rolling_weight(rosters[(team, season)], so_far)
             else:
                 weight = cold_start(team, season)
             entries[(team, date)] = weight

@@ -4,6 +4,7 @@ error that is not an argparse usage error is one ``error: ...`` line."""
 
 import base64
 import functools
+import hashlib
 import json
 import os
 import subprocess
@@ -383,8 +384,31 @@ def set_in(section, key, value):
     return edit
 
 
+def in_schema(edit):
+    """``edit`` of the document's schema, with ``schema_fingerprint``
+    stamped again for the edited schema, so that the row trips the schema
+    check and not the fingerprint check."""
+    def stamped(doc):
+        edit(doc["schema"])
+        payload = json.dumps(doc["schema"], sort_keys=True, separators=(",", ":"))
+        doc["schema_fingerprint"] = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return stamped
+
+
+def set_categories(group, categories):
+    """The categories of the schema's ``group`` (an index) as
+    ``categories(old)``."""
+    def edit(schema):
+        entry = schema["categorical_groups"][group]
+        entry["categories"] = categories(entry["categories"])
+    return edit
+
+
 # (id, edit of the document): a spec, points model or row count that is
-# not of the schema's type or range
+# not of the schema's type or range; a schema that no training run writes
+# (groups, numeric features or categories renamed, reordered, repeated or
+# not strings); a schema fingerprint or label convention that is not the
+# document's
 DOCUMENT_FAULTS = [
     ("points-coefficient-boolean", set_in("points_model", "per_wicket", True)),
     ("points-coefficient-string", set_in("points_model", "per_wicket", "3.5")),
@@ -394,6 +418,20 @@ DOCUMENT_FAULTS = [
     ("seed-string", set_in("spec", "seed", "12")),
     ("training-rows-boolean", lambda d: d.update(training_rows=True)),
     ("training-rows-string", lambda d: d.update(training_rows="12")),
+    ("schema-group-renamed",
+     in_schema(lambda s: s["categorical_groups"][4].update(name="stadium"))),
+    ("schema-groups-reordered",
+     in_schema(lambda s: s["categorical_groups"].reverse())),
+    ("schema-numeric-unknown", in_schema(lambda s: s.update(numeric_features=["x", "y"]))),
+    ("schema-numeric-reordered", in_schema(lambda s: s["numeric_features"].reverse())),
+    ("schema-categories-unsorted", in_schema(set_categories(4, lambda c: c[::-1]))),
+    ("schema-category-twice", in_schema(set_categories(4, lambda c: [c[0], *c[:-1]]))),
+    ("schema-categories-integers",
+     in_schema(set_categories(4, lambda c: list(range(len(c)))))),
+    ("fingerprint-zeroed", lambda d: d.update(schema_fingerprint="0" * 64)),
+    ("fingerprint-missing", lambda d: d.pop("schema_fingerprint")),
+    ("label-convention-away", lambda d: d.update(label_convention="1=away_team_win")),
+    ("label-convention-missing", lambda d: d.pop("label_convention")),
 ]
 
 

@@ -1,4 +1,5 @@
 import datetime as dt
+import itertools
 import warnings
 
 import numpy as np
@@ -83,6 +84,26 @@ class TestBuildSchema:
         a = build_schema(all_teams_dataset())
         b = build_schema(all_teams_dataset())
         assert a.fingerprint() == b.fingerprint()
+
+    def test_every_subset_schema_loads(self):
+        """``from_dict`` accepts each schema that ``build_schema`` and
+        ``subset`` make, and gives it back unchanged."""
+        schema = build_schema(all_teams_dataset())
+        data = EncodedDataset(X=np.zeros((0, schema.total_columns)),
+                              y=np.zeros(0, dtype=np.int64), schema=schema, row_ids=())
+        names = schema.feature_names()
+        for size in range(1, len(names) + 1):
+            for kept in itertools.combinations(names, size):
+                schema = data.subset(kept).schema
+                assert FeatureSchema.from_dict(schema.to_dict()) == schema
+
+    @pytest.mark.parametrize("categories", [[], "abc", ["bat", "bat"], ["field", "bat"],
+                                            [1, 2]])
+    def test_from_dict_rejects_categories(self, categories):
+        doc = match_like_schema().to_dict()
+        doc["categorical_groups"][3]["categories"] = categories
+        with pytest.raises(ValueError, match="toss_decision"):
+            FeatureSchema.from_dict(doc)
 
 
 class TestEncode:

@@ -275,3 +275,22 @@ def test_fixture_ledger_digest(mode):
                           load_matches(fixture_path("matches.csv")), mode=mode)
     blob = json.dumps(ledger.to_dict(), sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == LEDGER_DIGESTS[mode]
+
+
+@pytest.mark.parametrize("mode", [PER_SEASON, PER_MATCH])
+def test_build_scores_each_player_once(monkeypatch, mode):
+    """A build scores each player row once, however many match dates
+    its team's weights are computed for."""
+    import cricpred.strength
+
+    calls = []
+
+    def counting(model, perf):
+        calls.append(perf)
+        return score_player(model, perf)
+
+    monkeypatch.setattr(cricpred.strength, "score_player", counting)
+    players = load_player_performances(fixture_path("players.csv"))
+    build_ledger(REFERENCE_POINTS_MODEL, players,
+                 load_matches(fixture_path("matches.csv")), mode=mode)
+    assert len(calls) == len(players)
