@@ -181,8 +181,9 @@ def cmd_train(args):
     training = dataset.restrict(_training_seasons(dataset, args.holdout_season))
     encoded, points, ledger, origin = _encoded_dataset(args, training, players)
     if args.target_count is not None:
-        result = rfe_select(encoded, args.target_count,
-                            resamples=args.resamples, seed=args.seed)
+        # only the selection is used, so no bootstrap stability runs
+        result = rfe_select(encoded, args.target_count, resamples=0,
+                            seed=args.seed)
         encoded = encoded.subset(result.selected)
         print(f"RFE selected: {', '.join(result.selected)}")
     kinds = model_base.KINDS if args.kind == "all" else [args.kind]
@@ -341,15 +342,15 @@ def build_parser():
             p.add_argument("--target-count", type=_at_least(1),
                            help="features to keep (default: rank them all; "
                                 "train: run RFE first when given)")
-            p.add_argument("--resamples", type=_at_least(0), default=5)
         return p
 
     add("ingest", cmd_ingest, "validate the matches and players CSVs")
     add("fit-points", cmd_fit_points, "fit the player-points regression")
     add("team-weights", cmd_team_weights, "emit per-team strength weights as CSV",
         mode=True)
-    add("select-features", cmd_select_features,
-        "rank features by recursive elimination", mode=True, rfe=True)
+    p = add("select-features", cmd_select_features,
+            "rank features by recursive elimination", mode=True, rfe=True)
+    p.add_argument("--resamples", type=_at_least(0), default=5)
 
     p = add("train", cmd_train, "train classifier(s) and write model documents",
             mode=True, rfe=True)

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import BadK, SchemaMismatch, TooFewPerClass
+from .models.base import train
 
 
 @dataclass(frozen=True)
@@ -96,18 +98,15 @@ def stratified_folds(labels, k, seed):
 
 def cross_validate(spec, data, k, seed) -> EvalReport:
     """Train on k-1 folds, test on the held-out fold, pool the confusion."""
-    from .models.base import train
-
     folds = stratified_folds(data.y, k, seed)
     n = len(data.y)
     y_true_all, y_pred_all, per_fold = [], [], []
     for fold in folds:
         mask = np.ones(n, dtype=bool)
         mask[fold] = False
-        from .features import EncodedDataset
-        train_data = EncodedDataset(
-            X=data.X[mask], y=data.y[mask], schema=data.schema,
-            row_ids=tuple(np.array(data.row_ids)[mask]))
+        train_data = replace(
+            data, X=data.X[mask], y=data.y[mask],
+            row_ids=tuple(itertools.compress(data.row_ids, mask)))
         model = train(spec, train_data)
         probs = model.predict_proba_matrix(data.X[fold])
         preds = (probs >= 0.5).astype(int)

@@ -6,13 +6,15 @@ from __future__ import annotations
 import hashlib
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .dataset import MatchDataset, label_of
 from .errors import EmptyDataset, TargetTooLarge, TooFewRows
-from .models.linear import fit_logistic, sigmoid
+from .evaluation import cross_validate
+from .models.base import make_spec
+from .models.linear import fit_logistic
 from .strength import TeamWeightLedger, lookup_weights
 
 CATEGORICAL_FEATURES = ["home_team", "away_team", "toss_winner", "toss_decision", "venue"]
@@ -218,50 +220,31 @@ def _standardize(X):
     return (X - mean) / std
 
 
-def _subset_cv_accuracy(X, y, seed, folds=5):
-    """Stratified CV accuracy of the converged ``RFE_L2`` logistic fit."""
-    from .evaluation import stratified_folds
-    fold_sets = stratified_folds(y, folds, seed)
-    correct = 0
-    for fold in fold_sets:
-        mask = np.ones(len(y), dtype=bool)
-        mask[fold] = False
-        w, b = fit_logistic(X[mask], y[mask], lam=RFE_L2)
-        pred = (sigmoid(X[fold] @ w + b) >= 0.5).astype(int)
-        correct += int(np.sum(pred == y[fold]))
-    return correct / len(y)
-
-
-def _rank_once(X, y, schema):
+def _rank_once(data):
     """One full elimination pass; returns the ranking, best first."""
-    slices = schema.group_slices()
-    remaining = schema.feature_names()
+    remaining = data.schema.feature_names()
     eliminated = []
     while len(remaining) > 1:
-        cols = [c for f in remaining for c in range(*slices[f])]
-        w, _ = fit_logistic(_standardize(X[:, cols]), y, lam=RFE_L2)
-        importances = []
-        pos = 0
-        for f in remaining:
-            width = slices[f][1] - slices[f][0]
-            importances.append(float(np.max(np.abs(w[pos:pos + width]))))
-            pos += width
+        subset = data.subset(remaining)
+        w, _ = fit_logistic(_standardize(subset.X), subset.y, lam=RFE_L2)
+        slices = subset.schema.group_slices()
+        importances = [float(np.max(np.abs(w[slice(*slices[f])])))
+                       for f in remaining]
         victim = remaining[int(np.argmin(importances))]
         remaining.remove(victim)
         eliminated.append(victim)
     return remaining + list(reversed(eliminated))
 
 
-def _prefix_scores(X, y, schema, ranking, seed):
-    """(size, CV accuracy) of each prefix of ``ranking``, longest first,
-    with the prefix's columns in schema order."""
-    slices = schema.group_slices()
+def _prefix_scores(data, ranking, seed):
+    """(size, 5-fold CV accuracy) of each prefix of ``ranking``, longest
+    first, each prefix's columns standardized on their own."""
+    spec = make_spec("logistic_regression", l2=RFE_L2)
     scores = []
     for size in range(len(ranking), 0, -1):
-        kept = set(ranking[:size])
-        cols = [c for f in schema.feature_names() if f in kept
-                for c in range(*slices[f])]
-        scores.append((size, _subset_cv_accuracy(_standardize(X[:, cols]), y, seed)))
+        subset = data.subset(ranking[:size])
+        standardized = replace(subset, X=_standardize(subset.X))
+        scores.append((size, cross_validate(spec, standardized, 5, seed).accuracy))
     return scores
 
 
@@ -280,16 +263,16 @@ def rfe_select(encoded: EncodedDataset, target_count: int, resamples: int = 5,
     if not 1 <= target_count <= n_features:
         raise TargetTooLarge(
             f"target_count {target_count} outside [1, {n_features}]")
-    ranking = _rank_once(encoded.X, encoded.y, encoded.schema)
-    scores = _prefix_scores(encoded.X, encoded.y, encoded.schema, ranking, seed)
+    ranking = _rank_once(encoded)
+    scores = _prefix_scores(encoded, ranking, seed)
     selected = tuple(ranking[:target_count])
     resample_selected = []
     agree = 0
     for r in range(resamples):
         rng = np.random.default_rng([seed, r])
         sample = rng.integers(0, encoded.X.shape[0], size=encoded.X.shape[0])
-        r_ranking = _rank_once(encoded.X[sample], encoded.y[sample],
-                               encoded.schema)
+        r_ranking = _rank_once(replace(encoded, X=encoded.X[sample],
+                                       y=encoded.y[sample]))
         picked = tuple(r_ranking[:target_count])
         resample_selected.append(picked)
         if set(picked) == set(selected):

@@ -50,7 +50,6 @@ def train_random_forest(X, y, hp, seed):
 
 
 def predict_random_forest(params, X):
-    X = np.asarray(X, dtype=np.float64)
     votes = np.zeros(X.shape[0])
     for leaf_values in tree_predict_matrix(params, X):
         votes += leaf_values
@@ -76,7 +75,6 @@ def train_gradient_boosting(X, y, hp, seed):
 
 
 def predict_gradient_boosting(params, X):
-    X = np.asarray(X, dtype=np.float64)
     f = np.full(X.shape[0], params["base_score"])
     for leaf_values in tree_predict_matrix(params, X):
         f = f + params["shrinkage"] * leaf_values

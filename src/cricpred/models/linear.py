@@ -161,8 +161,7 @@ def train_logistic(X, y, hp, seed):
 
 
 def predict_logistic(params, X):
-    X = np.asarray(X, dtype=np.float64)
-    return sigmoid(X @ np.asarray(params["weights"]) + params["bias"])
+    return sigmoid(X @ params["weights"] + params["bias"])
 
 
 def _fit_platt(scores, y):
@@ -184,6 +183,5 @@ def train_linear_svm(X, y, hp, seed):
 
 
 def predict_linear_svm(params, X):
-    X = np.asarray(X, dtype=np.float64)
-    scores = X @ np.asarray(params["weights"]) + params["bias"]
+    scores = X @ params["weights"] + params["bias"]
     return sigmoid(-(params["platt_a"] * scores + params["platt_b"]))

@@ -130,10 +130,7 @@ def train_mlp(X, y, hp, seed):
 
 
 def predict_mlp(params, X):
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    layers = [[np.asarray(W, dtype=np.float64), np.asarray(b, dtype=np.float64)]
-              for W, b in params["layers"]]
-    logits = _forward(layers, X)[1]
+    logits = _forward(params["layers"], X)[1]
     return sigmoid(logits).ravel()
 
 

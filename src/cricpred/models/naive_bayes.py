@@ -33,10 +33,10 @@ def train_naive_bayes(X, y, hp, seed, binary_mask):
 
 def _log_joint(cls_params, Xb, Xn):
     log_prior = np.log(cls_params["prior"])
-    p = np.asarray(cls_params["bernoulli_p"], dtype=np.float64)
+    p = cls_params["bernoulli_p"]
     ll = Xb @ np.log(p) + (1.0 - Xb) @ np.log1p(-p)
-    mean = np.asarray(cls_params["gauss_mean"], dtype=np.float64)
-    var = np.asarray(cls_params["gauss_var"], dtype=np.float64)
+    mean = cls_params["gauss_mean"]
+    var = cls_params["gauss_var"]
     if mean.size:
         ll = ll - 0.5 * np.sum(
             np.log(2.0 * np.pi * var) + (Xn - mean) ** 2 / var, axis=1)
@@ -44,7 +44,6 @@ def _log_joint(cls_params, Xb, Xn):
 
 
 def predict_naive_bayes(params, X):
-    X = np.asarray(X, dtype=np.float64)
     mask = np.asarray(params["binary_mask"], dtype=bool)
     Xb = X[:, mask]
     Xn = X[:, np.logical_not(mask)]

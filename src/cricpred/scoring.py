@@ -59,8 +59,9 @@ def _design_matrix(performances):
 def fit_points_model(performances) -> PointsModel:
     """Ordinary least squares of official points on the six statistics.
 
-    Solves the normal equations by Cholesky; falls back to an SVD-based
-    least-squares solve when the normal-equation matrix is ill conditioned.
+    Solves the normal equations by LU (``np.linalg.solve``); falls back to
+    an SVD-based least-squares solve when the normal-equation matrix is ill
+    conditioned.
     """
     usable = [p for p in performances if p.official_points is not None]
     if len(usable) < 7:

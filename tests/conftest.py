@@ -7,7 +7,7 @@ import pytest
 from cricpred.dataset import load_matches, load_player_performances
 from cricpred.features import EncodedDataset, FeatureSchema, build_schema, encode
 from cricpred.scoring import REFERENCE_POINTS_MODEL
-from cricpred.strength import build_ledger
+from cricpred.strength import PER_SEASON, build_ledger
 
 
 def fixture_path(name):
@@ -37,11 +37,11 @@ def table_strings(parameters):
             parameters[key] = base64.b64encode(raw).decode("ascii")
 
 
-def fixture_dataset():
+def fixture_dataset(mode=PER_SEASON):
     """The bundled fixture, encoded by the default pipeline."""
     dataset = load_matches(fixture_path("matches.csv"))
     players = load_player_performances(fixture_path("players.csv"))
-    ledger = build_ledger(REFERENCE_POINTS_MODEL, players, dataset)
+    ledger = build_ledger(REFERENCE_POINTS_MODEL, players, dataset, mode=mode)
     return encode(dataset, ledger, build_schema(dataset))
 
 

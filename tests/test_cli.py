@@ -176,7 +176,8 @@ class TestPredict:
 
     def test_corrupt_model_exit_3(self, capsys, tmp_path, model_path):
         broken = tmp_path / "broken.json"
-        blob = open(model_path).read()
+        with open(model_path) as fh:
+            blob = fh.read()
         broken.write_text(blob[: len(blob) // 3])
         code, _, err = run(capsys, "predict", "--model", str(broken),
                            "--home", "CSK", "--away", "RR",

@@ -152,6 +152,14 @@ FAULTS = [
      lambda t, m: ["select-features", *DATA, "--target-count", "0", "--out-dir", str(t)]),
     ("train-target-count-0", 2, True,
      lambda t, m: ["train", *DATA, "--target-count", "0", "--out-dir", str(t)]),
+    # train runs RFE without bootstrap stability runs, so it takes no
+    # --resamples, on the command line or from a config file
+    ("train-resamples", 2, True,
+     lambda t, m: ["train", *DATA, "--target-count", "3", "--resamples", "2",
+                   "--out-dir", str(t)]),
+    ("train-config-resamples", 2, True,
+     lambda t, m: ["train", "--config", config(t, "resamples = 2\n"),
+                   "--target-count", "3", "--out-dir", str(t)]),
     ("cv-negative-seed", 2, True,
      lambda t, m: ["cv", *DATA, "--kind", "naive_bayes", "--seed", "-1"]),
     ("predict-without-model", 2, True,

@@ -1,4 +1,6 @@
+import dataclasses
 import datetime as dt
+import hashlib
 import itertools
 import warnings
 
@@ -17,9 +19,9 @@ from cricpred.features import (
     rfe_select,
 )
 from cricpred.scoring import REFERENCE_POINTS_MODEL
-from cricpred.strength import PER_SEASON, build_ledger
+from cricpred.strength import PER_MATCH, PER_SEASON, build_ledger
 
-from conftest import match_like_schema
+from conftest import fixture_dataset, match_like_schema
 
 
 def make_match(i, home, away, toss, decision, venue, winner, season=2018):
@@ -279,3 +281,25 @@ class TestRfe:
         assert reduced.schema.feature_names() == ["toss_decision",
                                                   "home_team_weight"]
         assert reduced.X.shape == (data.X.shape[0], 2)
+
+
+# sha256 of the ``repr`` of every ``RfeResult`` field, one per line:
+# (dataset, target_count, resamples, seed) -> digest. Any change to the
+# ranking, a subset's CV accuracy (to the last bit) or a bootstrap pick
+# changes it.
+RFE_DIGESTS = {
+    ("fixture_" + PER_SEASON, 3, 5, 0): "44ecc020bf7f5bfb9b1d971069bed6ce71973c8d2f5d123caa149a576d3d186d",
+    ("fixture_" + PER_MATCH, 3, 5, 0): "3a08b0a15e431965768aa69257f8821b9cf0a8c614296a20741fb3fa81b63a75",
+    ("planted", 2, 5, 0): "307989caa2339b7f38199f1ab617a0781a2dffa8b426d1ed1a600fa33d4ff289",
+}
+
+
+@pytest.mark.parametrize("case", list(RFE_DIGESTS), ids=lambda c: c[0])
+def test_rfe_result_digest(case):
+    source, target, resamples, seed = case
+    data = (planted_signal_dataset() if source == "planted"
+            else fixture_dataset(mode=source.removeprefix("fixture_")))
+    result = rfe_select(data, target, resamples=resamples, seed=seed)
+    text = "\n".join(repr(getattr(result, f.name))
+                     for f in dataclasses.fields(result))
+    assert hashlib.sha256(text.encode()).hexdigest() == RFE_DIGESTS[case]
