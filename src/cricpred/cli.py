@@ -76,13 +76,12 @@ def _load_inputs(args):
 
 def _points_model(players):
     """Fit when official points are available, else the bundled reference."""
-    usable = sum(1 for p in players if p.official_points is not None)
-    if usable >= 7:
-        try:
-            return fit_points_model(players), "fitted"
-        except errors.RankDeficient:
-            return REFERENCE_POINTS_MODEL, "reference (fit was rank deficient)"
-    return REFERENCE_POINTS_MODEL, "reference"
+    try:
+        return fit_points_model(players), "fitted"
+    except errors.InsufficientData:
+        return REFERENCE_POINTS_MODEL, "reference"
+    except errors.RankDeficient:
+        return REFERENCE_POINTS_MODEL, "reference (fit was rank deficient)"
 
 
 def _write_csv(path, header, rows):
@@ -251,9 +250,9 @@ def cmd_report(args):
     mode = document.ledger.mode if document.ledger else PER_SEASON
     ledger = build_ledger(points, players, dataset, mode=mode)
     holdout = dataset.restrict({args.holdout_season})
-    if not holdout.matches:
+    if not holdout.decisive():
         raise errors.EmptyDataset(
-            f"no matches in holdout season {args.holdout_season}")
+            f"no decisive matches in holdout season {args.holdout_season}")
     encoded = encode(holdout, ledger, document.model.schema)
     report, rows = evaluate_holdout(document.model, encoded)
     _print_report(report, f"holdout season {args.holdout_season}, "

@@ -29,27 +29,166 @@ float64 (``TABLE_DTYPES``); a model document stores each as the base64
 of its little-endian bytes, node indices and columns as 4-byte integers,
 and loading gives back these dtypes (``models/base.py``).
 
-Columns whose every value is 0.0 or 1.0 (the dummy-coded categoricals) are
-scored from counts; other columns are sorted and scanned. Both paths give
-the same scores, so the trees do not depend on which path a column takes.
+The split kernels score many nodes in one call, their rows node after
+node and ``sizes`` holding each node's row count. Every score is
+lower-is-better, ``inf`` where a node has no valid cut: the Gini impurity
+``n_l*g_l + n_r*g_r``, or ``-(s_l^2/n_l + s_r^2/n_r)``, the children's
+squared error about their means less the node's own sum of squares. 0/1
+columns (the dummy-coded categoricals) are scored from each side's row
+count and label or target sum (``count_split_*``); other columns are
+sorted within each node and scanned (``best_split_*``), Gini with one
+running class-1 count over all nodes (whole numbers, so exact), SSE with
+each node's own running sum down its rows. Both paths evaluate
+``_gini``/``_sse_proxy`` on sums accumulated in the same order, so a 0/1
+column scores bit-identically either way and the trees do not depend on
+which path a column takes. Ties go to the first cut point.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..kernels import (
-    _INF,
-    _starts,
-    best_split_gini,
-    best_split_sse,
-    count_split_gini,
-    count_split_sse,
-)
-
 TABLE_KEYS = ("roots", "feature", "threshold", "left", "right", "value")
 TABLE_DTYPES = {"roots": np.int64, "feature": np.int64, "threshold": np.float64,
                 "left": np.int64, "right": np.int64, "value": np.float64}
+
+_INF = float("inf")
+
+
+def _gini(nl, nr, c1l, total1):
+    """Unnormalized weighted Gini ``n_l*g_l + n_r*g_r`` from side sizes and
+    class-1 counts."""
+    c0l = nl - c1l
+    c1r = total1 - c1l
+    c0r = nr - c1r
+    return (nl - (c0l * c0l + c1l * c1l) / nl) + (nr - (c0r * c0r + c1r * c1r) / nr)
+
+
+def _sse_proxy(nl, nr, sl, total):
+    """``s_l^2/n_l + s_r^2/n_r`` from side sizes and target sums."""
+    sr = total - sl
+    return sl * sl / nl + sr * sr / nr
+
+
+def _starts(sizes):
+    return np.cumsum(sizes) - sizes
+
+
+def _cut_sides(values, sizes, min_leaf):
+    """For the cut after each row: the segments' starts, the row's segment,
+    the left side's row count (the row's place in its segment, plus one)
+    and the right side's, and whether the cut is valid: it separates
+    distinct values and leaves at least ``min_leaf`` rows on each side."""
+    n = values.shape[0]
+    starts = _starts(sizes)
+    seg = np.repeat(np.arange(sizes.size), sizes)
+    nl = np.arange(1.0, n + 1.0) - starts[seg]
+    nr = sizes[seg] - nl
+    floor = max(min_leaf, 1)
+    valid = np.zeros(n, dtype=bool)
+    valid[:-1] = values[1:] > values[:-1]
+    valid &= (nl >= floor) & (nr >= floor)
+    return starts, seg, nl, nr, valid
+
+
+def _first_best(scores, valid, starts, seg):
+    """Each segment's ``(cut, score)``: the left side's size at its first
+    lowest-scoring valid cut and that cut's score, or ``(-1, inf)`` when no
+    cut is valid."""
+    scores = np.where(valid, scores, _INF)
+    best = np.minimum.reduceat(scores, starts)
+    at = np.where(scores == best[seg], np.arange(scores.size), scores.size)
+    found = best != _INF
+    return np.where(found, np.minimum.reduceat(at, starts) - starts + 1, -1), best
+
+
+def best_split_gini(values, labels, sizes, min_leaf):
+    """Best binary-Gini split of one column in each segment.
+
+    ``values`` must be ascending within each segment; ``labels`` float64
+    zeros/ones in the same order. Returns ``(cut, impurity)`` arrays with
+    one entry per segment, where the left child is the segment's first
+    ``cut`` rows, and ``(-1, inf)`` for a segment with no valid split.
+    """
+    starts, seg, nl, nr, valid = _cut_sides(values, sizes, min_leaf)
+    # nr floored at 1: a segment's last row has no cut after it, but an
+    # unfloored 0 would divide by zero
+    c1 = np.cumsum(labels)
+    before = (c1 - labels)[starts]  # class-1 rows before each segment
+    total1 = c1[starts + sizes - 1] - before
+    imp = _gini(nl, np.maximum(nr, 1.0), c1 - before[seg], total1[seg])
+    return _first_best(imp, valid, starts, seg)
+
+
+def best_split_sse(values, targets, sizes, min_leaf):
+    """Best variance-reduction split of one column in each segment.
+
+    Returns ``(cut, score)`` arrays minimizing ``-(s_l^2/n_l + s_r^2/n_r)``
+    (the squared error of per-child means, less the segment's own sum of
+    squares), with ``(-1, inf)`` for a segment with no valid split.
+    """
+    starts, seg, nl, nr, valid = _cut_sides(values, sizes, min_leaf)
+    place = (nl - 1.0).astype(np.intp)
+    padded = np.zeros((sizes.size, sizes.max()))
+    padded[seg, place] = targets
+    s = np.cumsum(padded, axis=1)
+    total = s[np.arange(sizes.size), sizes - 1]
+    proxy = _sse_proxy(nl, np.maximum(nr, 1.0), s[seg, place], total[seg])
+    return _first_best(-proxy, valid, starts, seg)
+
+
+def _side_counts(B, sizes, min_leaf):
+    """Row counts left (value 0) and right (value 1) of each 0/1 column of
+    ``B`` in each segment, floored at 1 so empty sides divide safely, and
+    the valid mask."""
+    ones = np.add.reduceat(B, _starts(sizes), axis=0)
+    nl = sizes[:, None] - ones
+    valid = np.minimum(nl, ones) >= max(min_leaf, 1)
+    return np.maximum(nl, 1.0), np.maximum(ones, 1.0), valid
+
+
+def count_split_gini(B, labels, sizes, min_leaf):
+    """Impurity of splitting each segment on each 0/1 column of ``B`` into
+    zeros and ones.
+
+    ``labels`` are the float64 zeros/ones of ``B``'s rows. Returns a float64
+    array of one row per segment and one impurity per column, ``inf`` where
+    the column has no valid split. The sums are whole numbers, so any
+    summation order is exact.
+    """
+    nl, nr, valid = _side_counts(B, sizes, min_leaf)
+    starts = _starts(sizes)
+    total1 = np.add.reduceat(labels, starts)[:, None]
+    c1r = np.add.reduceat(B * labels[:, None], starts, axis=0)
+    return np.where(valid, _gini(nl, nr, total1 - c1r, total1), _INF)
+
+
+def count_split_sse(B, targets, sizes, min_leaf):
+    """Negated variance-reduction proxy of splitting each segment on each
+    0/1 column of ``B``.
+
+    Returns one row per segment and one score per column, ``inf`` where the
+    column has no valid split. ``np.bincount`` adds its weights in input
+    order, so each (segment, column) sum runs sequentially down the
+    segment's rows, as ``np.cumsum`` does over the stable-sorted column in
+    ``best_split_sse``: first the zero side, then, from the zero side's
+    sum, the one side. The zero side's sum also adds a zero for each row
+    on the one side, which leaves it unchanged up to the sign of zero, and
+    the proxy squares that away.
+    """
+    k = B.shape[1]
+    nl, nr, valid = _side_counts(B, sizes, min_leaf)
+    size = sizes.size * k
+    # one bin per (segment, column), row after row
+    bins = (np.repeat(np.arange(sizes.size) * k, sizes)[:, None]
+            + np.arange(k)).ravel()
+    zero = B == 0.0
+    sl = np.bincount(bins, (zero * targets[:, None]).ravel(), size)
+    ones = np.flatnonzero(~zero)
+    total = np.bincount(np.concatenate((np.arange(size), bins[ones])),
+                        np.concatenate((sl, targets[ones // k])), size)
+    proxy = _sse_proxy(nl, nr, sl.reshape(nl.shape), total.reshape(nl.shape))
+    return np.where(valid, -proxy, _INF)
 
 
 def _binary_columns(X):
@@ -84,7 +223,7 @@ class _Batch:
 
 
 def _best_splits(batch, rows, sizes, crit, features, min_leaf, kernel,
-                 count_kernel, maximize):
+                 count_kernel):
     """Each node's best split over its candidate ``features`` (one row of
     ascending columns per node, or None for every column): ``(found,
     feature, threshold)`` arrays. ``rows`` holds the nodes' rows, node after
@@ -127,13 +266,12 @@ def _best_splits(batch, rows, sizes, crit, features, min_leaf, kernel,
         # adjacent doubles round the midpoint down to ``lo`` (and a huge
         # pair overflows it), which would send ``lo`` right
         thresholds[node, slot] = np.where((lo < mid) & (mid <= hi), mid, hi)
-    best = scores.argmax(axis=1) if maximize else scores.argmin(axis=1)
-    at = (np.arange(m), best)
-    return np.abs(scores[at]) != _INF, features[at], thresholds[at]
+    at = (np.arange(m), scores.argmin(axis=1))
+    return scores[at] != _INF, features[at], thresholds[at]
 
 
 def _grow(X, roots, crit, leaf_values, min_leaf, max_depth, rngs, max_features,
-          kernel, count_kernel, maximize):
+          kernel, count_kernel):
     """The node table of one tree per root, grown breadth first.
     ``leaf_values(rows, sizes)`` gives the values of leaves whose rows lie
     node after node; ``rngs`` holds each tree's generator when
@@ -167,7 +305,7 @@ def _grow(X, roots, crit, leaf_values, min_leaf, max_depth, rngs, max_features,
             inside = split[node_of]
             found, feature[open_], threshold[open_] = _best_splits(
                 batch, rows[inside], sizes[open_], c[inside], features,
-                min_leaf, kernel, count_kernel, maximize)
+                min_leaf, kernel, count_kernel)
             split[open_] = found
         leaf = ~split
         feature[leaf], threshold[leaf] = 0, 0.0
@@ -226,8 +364,7 @@ def grow_classification_trees(X, y, roots, min_leaf=1, max_depth=None,
         return np.add.reduceat(y[rows], _starts(sizes)) / sizes
 
     return _grow(X, roots, y, leaf_values, min_leaf, max_depth, rngs,
-                 max_features, best_split_gini, count_split_gini,
-                 maximize=False)
+                 max_features, best_split_gini, count_split_gini)
 
 
 def fit_classification_tree(X, y, min_leaf=1, max_depth=None, rng=None,
@@ -252,8 +389,7 @@ def fit_regression_tree(X, grad, hess, min_leaf=1, max_depth=3):
                 for r in np.split(rows, np.cumsum(sizes)[:-1])]
 
     return _grow(X, [np.arange(X.shape[0])], grad, leaf_values, min_leaf,
-                 max_depth, None, None, best_split_sse, count_split_sse,
-                 maximize=True)
+                 max_depth, None, None, best_split_sse, count_split_sse)
 
 
 def check_table(table, n_columns):

@@ -104,6 +104,37 @@ class TestTrain:
         assert "bogus" in err
 
 
+    @pytest.mark.parametrize("rows, stumpings, origin", [
+        (None, None, "fitted"),
+        (None, "0", "reference (fit was rank deficient)"),
+        (6, None, "reference"),
+    ])
+    def test_points_model_origin(self, capsys, tmp_path, data_args, rows,
+                                 stumpings, origin):
+        """Official points on the first ``rows`` player rows (all when
+        None), with every ``stumpings`` replaced when it is given."""
+        with open(fixture_path("players.csv"), newline="") as fh:
+            players = list(csv.DictReader(fh))
+        for i, row in enumerate(players):
+            if stumpings is not None:
+                row["stumpings"] = stumpings
+            if rows is None or i < rows:
+                row["official_points"] = str(
+                    25 * int(row["wickets"]) + int(row["dot_balls"])
+                    + 4 * int(row["fours"]) + 6 * int(row["sixes"])
+                    + 8 * int(row["catches"]) + 12 * int(row["stumpings"]) + i % 5)
+        path = tmp_path / "players.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(players[0]))
+            writer.writeheader()
+            writer.writerows(players)
+        code, out, _ = run(capsys, "train", "--matches", data_args[1],
+                           "--players", str(path), "--kind", "naive_bayes",
+                           "--out-dir", str(tmp_path))
+        assert code == 0
+        assert f"points model: {origin})" in out
+
+
 class TestPredict:
     @pytest.fixture()
     def model_path(self, capsys, tmp_path, data_args):

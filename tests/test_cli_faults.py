@@ -57,6 +57,14 @@ def truncated(tmp, model):
     return write(tmp, "truncated.json", blob[: len(blob) // 3])
 
 
+def washouts(tmp, season):
+    """A copy of the matches CSV whose ``season`` rows have no winner."""
+    lines = Path(MATCHES).read_text(encoding="utf-8").splitlines()
+    return write(tmp, "washouts.csv", "".join(
+        (line.rsplit(",", 1)[0] + "," if line.split(",")[1] == season else line)
+        + "\n" for line in lines))
+
+
 def binary(tmp):
     path = tmp / "binary.json"
     path.write_bytes(b"\xff\xfe\x00")
@@ -127,6 +135,9 @@ FAULTS = [
     ("report-season-without-matches", 2, False,
      lambda t, m: ["report", *DATA, "--model", m, "--holdout-season", "2019",
                    "--out-dir", str(t)]),
+    ("report-season-without-decisive-matches", 2, False,
+     lambda t, m: ["report", "--matches", washouts(t, "2017"), "--players", PLAYERS,
+                   "--model", m, "--holdout-season", "2017", "--out-dir", str(t)]),
     # config files: parsed as flags, so argparse validates them -> 2
     ("cv-config-k-ten", 2, True,
      lambda t, m: ["cv", "--config", config(t, "k = ten\n"), "--out-dir", str(t)]),
@@ -324,6 +335,14 @@ PARAMETER_FAULTS = [
      lambda p: p["class_1"].update(prior=-0.5)),
     ("forest-leaf-above-1", "random_forest", lambda p: set_leaves(p, 2.0)),
     ("forest-leaf-negative", "random_forest", lambda p: set_leaves(p, -0.5)),
+    # a whole key missing, one row per kind
+    ("svm-platt-a-missing", "linear_svm", lambda p: p.pop("platt_a")),
+    ("forest-roots-missing", "random_forest", lambda p: p.pop("roots")),
+    ("boosting-base-score-missing", "gradient_boosting",
+     lambda p: p.pop("base_score")),
+    ("naive-bayes-class-1-missing", "naive_bayes", lambda p: p.pop("class_1")),
+    ("mlp-layers-missing", "mlp", lambda p: p.pop("layers")),
+    ("logistic-bias-missing", "logistic_regression", lambda p: p.pop("bias")),
 ]
 
 

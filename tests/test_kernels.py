@@ -4,6 +4,12 @@ import numpy as np
 import pytest
 
 from cricpred import kernels
+from cricpred.models.tree import (
+    best_split_gini,
+    best_split_sse,
+    count_split_gini,
+    count_split_sse,
+)
 
 INF = float("inf")
 
@@ -35,7 +41,7 @@ def brute_gini(values, labels, min_leaf):
 
 def brute_sse(values, targets, min_leaf):
     n = len(values)
-    best = (-1, -INF)
+    best = (-1, INF)
     for i in range(1, n):
         if values[i] <= values[i - 1]:
             continue
@@ -44,9 +50,9 @@ def brute_sse(values, targets, min_leaf):
             continue
         sl = float(np.sum(targets[:i]))
         sr = float(np.sum(targets[i:]))
-        proxy = sl * sl / nl + sr * sr / nr
-        if proxy > best[1]:
-            best = (i, proxy)
+        score = -(sl * sl / nl + sr * sr / nr)
+        if score < best[1]:
+            best = (i, score)
     return best
 
 
@@ -69,7 +75,7 @@ class TestAgainstBruteForce:
         rng = np.random.default_rng(0)
         for _ in range(300):
             values, labels, min_leaf = random_case(rng, "labels")
-            got = one_segment(kernels.best_split_gini, values, labels, min_leaf)
+            got = one_segment(best_split_gini, values, labels, min_leaf)
             want = brute_gini(values, labels, min_leaf)
             assert got[0] == want[0]
             if got[0] != -1:
@@ -79,7 +85,7 @@ class TestAgainstBruteForce:
         rng = np.random.default_rng(1)
         for _ in range(300):
             values, targets, min_leaf = random_case(rng, "targets")
-            got = one_segment(kernels.best_split_sse, values, targets, min_leaf)
+            got = one_segment(best_split_sse, values, targets, min_leaf)
             want = brute_sse(values, targets, min_leaf)
             assert got[0] == want[0]
             if got[0] != -1:
@@ -123,7 +129,7 @@ class TestCountSplitsMatchSortedScan:
     """The count-based score of each 0/1 column equals the sorted-column
     kernel's, bit for bit, with the left child the column's zeros."""
 
-    def check(self, count_kernel, kernel, crit_of, sentinel, seed):
+    def check(self, count_kernel, kernel, crit_of, seed):
         rng = np.random.default_rng(seed)
         outcomes = {True: 0, False: 0}  # valid split found / none
         for _ in range(400):
@@ -137,44 +143,43 @@ class TestCountSplitsMatchSortedScan:
                 col = B[:, k]
                 order = np.argsort(col, kind="stable")
                 want = one_segment(kernel, col[order], crit[order], min_leaf)
-                got_i = int(np.sum(col == 0.0)) if scores[k] != sentinel else -1
+                got_i = int(np.sum(col == 0.0)) if scores[k] != INF else -1
                 assert (got_i, scores[k]) == want
                 outcomes[want[0] > 0] += 1
         assert min(outcomes.values()) > 100
 
     def test_gini(self):
-        self.check(kernels.count_split_gini, kernels.best_split_gini,
+        self.check(count_split_gini, best_split_gini,
                    lambda rng, n: rng.integers(0, 2, n).astype(np.float64),
-                   INF, seed=3)
+                   seed=3)
 
     def test_sse(self):
         def gradients(rng, n):
             return rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, size=n)
-        self.check(kernels.count_split_sse, kernels.best_split_sse,
-                   gradients, -INF, seed=4)
+        self.check(count_split_sse, best_split_sse, gradients, seed=4)
 
 
 class TestEdgeCases:
     def test_single_row(self):
         v = np.array([1.0])
-        assert one_segment(kernels.best_split_gini, v, np.array([1.0]), 1) == (-1, INF)
-        assert one_segment(kernels.best_split_sse, v, np.array([1.0]), 1) == (-1, -INF)
+        assert one_segment(best_split_gini, v, np.array([1.0]), 1) == (-1, INF)
+        assert one_segment(best_split_sse, v, np.array([1.0]), 1) == (-1, INF)
 
     def test_all_values_equal(self):
         v = np.full(10, 2.0)
         y = np.array([0.0, 1.0] * 5)
-        assert one_segment(kernels.best_split_gini, v, y, 1) == (-1, INF)
-        assert one_segment(kernels.best_split_sse, v, y, 1) == (-1, -INF)
+        assert one_segment(best_split_gini, v, y, 1) == (-1, INF)
+        assert one_segment(best_split_sse, v, y, 1) == (-1, INF)
 
     def test_min_leaf_blocks_everything(self):
         v = np.arange(6, dtype=np.float64)
         y = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
-        assert one_segment(kernels.best_split_gini, v, y, 4) == (-1, INF)
+        assert one_segment(best_split_gini, v, y, 4) == (-1, INF)
 
     def test_perfect_split(self):
         v = np.arange(8, dtype=np.float64)
         y = np.array([0.0] * 4 + [1.0] * 4)
-        i, imp = one_segment(kernels.best_split_gini, v, y, 1)
+        i, imp = one_segment(best_split_gini, v, y, 1)
         assert i == 4
         assert imp == 0.0
 
@@ -182,7 +187,7 @@ class TestEdgeCases:
         # symmetric pattern: cut points 2 and 4 tie; the first is returned
         v = np.arange(6, dtype=np.float64)
         y = np.array([0.0, 0.0, 1.0, 0.0, 1.0, 1.0])
-        i, _ = one_segment(kernels.best_split_gini, v, y, 1)
+        i, _ = one_segment(best_split_gini, v, y, 1)
         j, _ = brute_gini(v, y, 1)
         assert i == j == 2
 
@@ -192,8 +197,8 @@ class TestSegments:
 
     def test_sorted_and_count_kernels(self):
         rng = np.random.default_rng(6)
-        kinds = ((kernels.best_split_gini, kernels.count_split_gini, "labels"),
-                 (kernels.best_split_sse, kernels.count_split_sse, "targets"))
+        kinds = ((best_split_gini, count_split_gini, "labels"),
+                 (best_split_sse, count_split_sse, "targets"))
         for kernel, count_kernel, target_kind in kinds:
             for _ in range(100):
                 cases = [random_case(rng, target_kind)

@@ -1,18 +1,16 @@
 import numpy as np
 import pytest
 
-from cricpred.kernels import (
-    best_split_gini,
-    best_split_sse,
-    count_split_gini,
-    count_split_sse,
-)
 from cricpred.models import ensemble, make_spec, train
 from cricpred.models.linear import sigmoid
 from cricpred.models.tree import (
     TABLE_DTYPES,
     TABLE_KEYS,
+    best_split_gini,
+    best_split_sse,
     check_table,
+    count_split_gini,
+    count_split_sse,
     draw_features,
     fit_classification_tree,
     fit_regression_tree,
@@ -238,7 +236,7 @@ def ref_regression_tree(X, grad, hess, min_leaf, max_depth):
 
     return ref_grow(X, np.arange(X.shape[0]), grad, leaf_value, min_leaf,
                     max_depth, 0, _binary_columns(X), best_split_sse,
-                    count_split_sse, True)
+                    count_split_sse, False)
 
 
 def flatten(trees):
