@@ -6,12 +6,10 @@ stratified cross-validation, all behind a CSV ingestion layer and a CLI.
 """
 
 from .dataset import (  # noqa: F401
+    TEAMS,
     MatchDataset,
     MatchRecord,
     PlayerPerformance,
-    TeamId,
-    TeamRegistry,
-    default_registry,
     label_of,
     load_matches,
     load_player_performances,

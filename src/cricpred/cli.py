@@ -98,7 +98,7 @@ def cmd_ingest(args):
     excluded = sum(1 for m in dataset.matches if not m.has_result)
     print(f"{len(dataset.matches)} matches loaded, {excluded} excluded (no result)")
     print(f"{len(players)} player-season rows loaded")
-    print(f"{len(dataset.venues)} venues, seasons {dataset.seasons()}")
+    print(f"{len({m.venue for m in dataset.matches})} venues, seasons {dataset.seasons()}")
     if not players:
         raise errors.InsufficientData(
             "players file has no rows; downstream fitting and team weights "

@@ -1,11 +1,12 @@
-"""Domain types, team registry and CSV ingestion for match and player data."""
+"""Domain types, team set and CSV ingestion for match and player data."""
 
 from __future__ import annotations
 
 import csv
 import datetime as dt
+import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     DuplicatePlayer,
@@ -32,68 +33,12 @@ PLAYER_COLUMNS = [
 STAT_FIELDS = ["wickets", "dot_balls", "fours", "sixes", "catches", "stumpings"]
 
 
-@dataclass(frozen=True)
-class TeamId:
-    acronym: str
-    full_name: str
-    active: bool = True
-
-    def __post_init__(self):
-        if not self.acronym or len(self.acronym) > 5 or self.acronym != self.acronym.upper():
-            raise ValueError(f"bad team acronym: {self.acronym!r}")
-
-
-class TeamRegistry:
-    """Lookup table of known teams keyed by acronym."""
-
-    def __init__(self, teams):
-        self._teams = {}
-        for team in teams:
-            if team.acronym in self._teams:
-                raise ValueError(f"duplicate acronym {team.acronym}")
-            self._teams[team.acronym] = team
-
-    def __contains__(self, acronym):
-        return acronym in self._teams
-
-    def __iter__(self):
-        return iter(self._teams.values())
-
-    def __len__(self):
-        return len(self._teams)
-
-    def __eq__(self, other):
-        return isinstance(other, TeamRegistry) and self._teams == other._teams
-
-    def get(self, acronym: str) -> TeamId:
-        try:
-            return self._teams[acronym]
-        except KeyError:
-            raise UnknownTeam(f"unknown team acronym {acronym!r}") from None
-
-
-def default_registry() -> TeamRegistry:
-    """The 13 historical league teams; five are inactive as of 2018."""
-    active = [
-        ("CSK", "Chennai Super Kings"),
-        ("DD", "Delhi Daredevils"),
-        ("KXIP", "Kings XI Punjab"),
-        ("KKR", "Kolkata Knight Riders"),
-        ("MI", "Mumbai Indians"),
-        ("RR", "Rajasthan Royals"),
-        ("RCB", "Royal Challenger Bangalore"),
-        ("SRH", "Sunrisers Hyderabad"),
-    ]
-    inactive = [
-        ("RPS", "Rising Pune Supergiant"),
-        ("DC", "Deccan Chargers"),
-        ("PWI", "Pune Warriors India"),
-        ("GL", "Gujrat Lions"),
-        ("KTK", "Kochi Tuskers Kerala"),
-    ]
-    teams = [TeamId(a, n, True) for a, n in active]
-    teams += [TeamId(a, n, False) for a, n in inactive]
-    return TeamRegistry(teams)
+# The 13 historical league teams. Five are inactive as of 2018: RPS, DC,
+# PWI, GL and KTK.
+TEAMS = frozenset({
+    "CSK", "DD", "KXIP", "KKR", "MI", "RR", "RCB", "SRH",
+    "RPS", "DC", "PWI", "GL", "KTK",
+})
 
 
 def normalize_venue(venue: str) -> str:
@@ -139,8 +84,6 @@ class PlayerPerformance:
 @dataclass(frozen=True)
 class MatchDataset:
     matches: tuple[MatchRecord, ...]
-    registry: TeamRegistry
-    venues: tuple[str, ...] = field(default=())
 
     def decisive(self):
         return [m for m in self.matches if m.has_result]
@@ -149,11 +92,7 @@ class MatchDataset:
         return sorted({m.season for m in self.matches})
 
     def restrict(self, seasons):
-        """The matches of the given seasons, with the same registry and the
-        venues of the kept matches."""
-        kept = tuple(m for m in self.matches if m.season in seasons)
-        return MatchDataset(matches=kept, registry=self.registry,
-                            venues=tuple(sorted({m.venue for m in kept})))
+        return MatchDataset(tuple(m for m in self.matches if m.season in seasons))
 
 
 def label_of(match: MatchRecord) -> int:
@@ -168,7 +107,8 @@ def label_of(match: MatchRecord) -> int:
 
 def _csv_rows(path, required):
     """(row number, row dict) for each data row of a UTF-8 CSV whose header
-    has the required columns; the header is row 1."""
+    has the required columns; the header is row 1. A row with fewer fields
+    than the header is an ``InvalidRow``; extra fields are ignored."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
@@ -178,7 +118,12 @@ def _csv_rows(path, required):
             if missing:
                 raise MissingColumn(
                     f"{path}: header lacks column(s) {', '.join(missing)}")
-            yield from enumerate(reader, start=2)
+            for rownum, row in enumerate(reader, start=2):
+                if None in row.values():
+                    short = [c for c, v in row.items() if v is None]
+                    raise InvalidRow(f"{path} row {rownum}: no value for "
+                                     f"column(s) {', '.join(short)}")
+                yield rownum, row
     except UnicodeDecodeError as exc:
         raise IngestionError(f"{path}: not UTF-8 text ({exc})") from None
 
@@ -193,14 +138,12 @@ def _parse_int(value, column, rownum, path, minimum=None):
     return parsed
 
 
-def load_matches(path, registry: TeamRegistry | None = None) -> MatchDataset:
+def load_matches(path) -> MatchDataset:
     """Load and validate a matches CSV, returning a date-sorted dataset.
 
     Rows with an empty ``winner`` are retained and flagged via
     ``MatchRecord.has_result``. Unknown columns are ignored.
     """
-    if registry is None:
-        registry = default_registry()
     matches = []
     seen_ids = {}
     for rownum, row in _csv_rows(path, MATCH_COLUMNS):
@@ -220,7 +163,7 @@ def load_matches(path, registry: TeamRegistry | None = None) -> MatchDataset:
         toss_winner = row["toss_winner"].strip()
         winner = row["winner"].strip()
         for acr in (home, away, toss_winner) + ((winner,) if winner else ()):
-            if acr not in registry:
+            if acr not in TEAMS:
                 raise UnknownTeam(f"{path} row {rownum}: unknown team acronym {acr!r}")
         if home == away:
             raise InvalidRow(f"{path} row {rownum}: home_team equals away_team ({home})")
@@ -245,20 +188,17 @@ def load_matches(path, registry: TeamRegistry | None = None) -> MatchDataset:
             toss_winner=toss_winner, toss_decision=toss_decision,
             winner=winner))
     matches.sort(key=lambda m: (m.date, m.match_id))
-    venues = tuple(sorted({m.venue for m in matches}))
-    return MatchDataset(matches=tuple(matches), registry=registry, venues=venues)
+    return MatchDataset(matches=tuple(matches))
 
 
-def load_player_performances(path, registry: TeamRegistry | None = None):
+def load_player_performances(path):
     """Load per-season player statistics, validating counts and uniqueness."""
-    if registry is None:
-        registry = default_registry()
     rows = []
     seen = {}
     for rownum, row in _csv_rows(path, PLAYER_COLUMNS):
         season = _parse_int(row["season"], "season", rownum, path)
         team = row["team"].strip()
-        if team not in registry:
+        if team not in TEAMS:
             raise UnknownTeam(f"{path} row {rownum}: unknown team acronym {team!r}")
         player = row["player"].strip()
         key = (season, team, player)
@@ -272,17 +212,19 @@ def load_player_performances(path, registry: TeamRegistry | None = None):
         if appearances == 0 and any(stats.values()):
             raise InvalidRow(
                 f"{path} row {rownum}: nonzero statistics with zero appearances")
-        points_raw = (row.get("official_points") or "").strip()
+        points_raw = row["official_points"].strip()
         official = None
         if points_raw:
             try:
                 official = float(points_raw)
             except ValueError:
-                raise InvalidRow(
-                    f"{path} row {rownum}: bad official_points {points_raw!r}") from None
+                official = math.nan  # reported as a bad value below
             if official < 0:
                 raise NegativeStat(
                     f"{path} row {rownum}: official_points={official} is negative")
+            if not math.isfinite(official):
+                raise InvalidRow(
+                    f"{path} row {rownum}: bad official_points {points_raw!r}")
         rows.append(PlayerPerformance(
             season=season, team=team, player=player,
             appearances=appearances, official_points=official, **stats))

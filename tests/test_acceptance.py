@@ -148,8 +148,7 @@ def test_07_team_weight_fixture_and_causality():
     checked = 0
     for m in dataset.matches:
         truncated = MatchDataset(
-            matches=tuple(x for x in dataset.matches if x.date <= m.date),
-            registry=dataset.registry, venues=dataset.venues)
+            matches=tuple(x for x in dataset.matches if x.date <= m.date))
         part = build_ledger(REFERENCE_POINTS_MODEL, players, truncated,
                             mode=PER_MATCH)
         for team in (m.home_team, m.away_team):

@@ -26,8 +26,9 @@ class TestIngest:
     def test_fixture_summary(self, capsys, data_args):
         code, out, _ = run(capsys, "ingest", *data_args)
         assert code == 0
-        assert "66 matches loaded, 2 excluded (no result)" in out
-        assert "seasons [2016, 2017]" in out
+        assert out.splitlines() == ["66 matches loaded, 2 excluded (no result)",
+                                    "200 player-season rows loaded",
+                                    "6 venues, seasons [2016, 2017]"]
 
     def test_malformed_header_exit_2(self, capsys, tmp_path, data_args):
         bad = tmp_path / "matches.csv"

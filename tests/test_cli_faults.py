@@ -78,6 +78,23 @@ def latin1(tmp, csv_path):
     return str(path)
 
 
+def appended(tmp, csv_path, row):
+    """A copy of the CSV with ``row`` as one more row."""
+    path = tmp / f"appended_{Path(csv_path).name}"
+    path.write_text(Path(csv_path).read_text(encoding="utf-8") + row + "\n",
+                    encoding="utf-8")
+    return str(path)
+
+
+def official_points(tmp, value):
+    """A copy of the players CSV in which every row has official points, the
+    first row ``value``; the fixture's rows leave the column empty."""
+    header, *rows = Path(PLAYERS).read_text(encoding="utf-8").splitlines()
+    return write(tmp, "official.csv", "".join(
+        f"{line}\n" for line in [header, rows[0] + value]
+        + [row + str(i) for i, row in enumerate(rows[1:])]))
+
+
 @pytest.fixture(scope="module")
 def model(tmp_path_factory):
     out = tmp_path_factory.mktemp("model")
@@ -127,6 +144,24 @@ FAULTS = [
     ("train-players-not-utf8", 2, False,
      lambda t, m: ["train", "--matches", MATCHES, "--players", latin1(t, PLAYERS),
                    "--out-dir", str(t)]),
+    ("ingest-short-matches-row", 2, False,
+     lambda t, m: ["ingest", "--matches", appended(t, MATCHES, "x1,2017,2017-05-01,CSK,RR"),
+                   "--players", PLAYERS]),
+    ("ingest-short-players-row", 2, False,
+     lambda t, m: ["ingest", "--matches", MATCHES,
+                   "--players", appended(t, PLAYERS, "2017,CSK,Zed,3")]),
+    ("fit-points-official-points-nan", 2, False,
+     lambda t, m: ["fit-points", "--matches", MATCHES,
+                   "--players", official_points(t, "nan")]),
+    ("fit-points-official-points-inf", 2, False,
+     lambda t, m: ["fit-points", "--matches", MATCHES,
+                   "--players", official_points(t, "inf")]),
+    ("train-official-points-nan", 2, False,
+     lambda t, m: ["train", "--matches", MATCHES, "--players",
+                   official_points(t, "nan"), "--out-dir", str(t)]),
+    ("train-official-points-inf", 2, False,
+     lambda t, m: ["train", "--matches", MATCHES, "--players",
+                   official_points(t, "inf"), "--out-dir", str(t)]),
     ("fit-points-no-player-rows", 2, False,
      lambda t, m: ["fit-points", "--matches", MATCHES, "--players",
                    write(t, "p.csv", Path(PLAYERS).read_text().splitlines()[0])]),

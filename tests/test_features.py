@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cricpred.dataset import MatchDataset, MatchRecord, default_registry
+from cricpred.dataset import TEAMS, MatchDataset, MatchRecord
 from cricpred.errors import EmptyDataset, TargetTooLarge, TooFewRows
 from cricpred.features import (
     EncodedDataset,
@@ -30,7 +30,7 @@ def make_match(i, home, away, toss, decision, venue, winner, season=2018):
 
 
 def all_teams_dataset():
-    teams = [t.acronym for t in default_registry()]
+    teams = sorted(TEAMS)
     matches = []
     i = 0
     for home in teams:
@@ -42,9 +42,7 @@ def all_teams_dataset():
                 home, away, f"venue {i % 4}", home,
                 "bat" if i % 2 else "field", home if i % 3 else away))
             i += 1
-    return MatchDataset(matches=tuple(sorted(matches, key=lambda m: m.date)),
-                        registry=default_registry(),
-                        venues=tuple(f"venue {v}" for v in range(4)))
+    return MatchDataset(matches=tuple(sorted(matches, key=lambda m: m.date)))
 
 
 class TestBuildSchema:
@@ -68,14 +66,13 @@ class TestBuildSchema:
     def test_single_venue_zero_columns(self):
         matches = (make_match(0, "CSK", "RR", "CSK", "bat", "V", "CSK"),
                    make_match(1, "RR", "CSK", "RR", "field", "V", "RR"))
-        schema = build_schema(MatchDataset(matches=matches,
-                                           registry=default_registry()))
+        schema = build_schema(MatchDataset(matches=matches))
         start, stop = schema.group_slices()["venue"]
         assert stop - start == 0
 
     def test_empty_dataset(self):
         with pytest.raises(EmptyDataset):
-            build_schema(MatchDataset(matches=(), registry=default_registry()))
+            build_schema(MatchDataset(matches=()))
 
     def test_dropped_is_lexicographically_first(self):
         schema = build_schema(all_teams_dataset())
@@ -182,7 +179,7 @@ class TestEncode:
         # the constant-one vector (the dropped category yields a zero row)
         ledger = build_ledger(
             REFERENCE_POINTS_MODEL,
-            [_perf(t.acronym) for t in default_registry()],
+            [_perf(t) for t in sorted(TEAMS)],
             dataset, mode=PER_SEASON)
         encoded = encode(dataset, ledger, schema)
         for name, cats in schema.categorical_groups:
@@ -195,7 +192,7 @@ class TestEncode:
     def test_no_result_rows_excluded(self):
         matches = (make_match(0, "CSK", "RR", "CSK", "bat", "V", "CSK"),
                    make_match(1, "RR", "CSK", "RR", "field", "V", ""))
-        dataset = MatchDataset(matches=matches, registry=default_registry())
+        dataset = MatchDataset(matches=matches)
         ledger = build_ledger(REFERENCE_POINTS_MODEL,
                               [_perf("CSK"), _perf("RR")], dataset,
                               mode=PER_SEASON)

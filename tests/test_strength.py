@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from cricpred.dataset import MatchDataset, PlayerPerformance, default_registry
+from cricpred.dataset import MatchDataset, PlayerPerformance
 from cricpred.errors import EmptyRoster, LedgerMiss, MissingRoster, ZeroAppearances
 from cricpred.scoring import REFERENCE_POINTS_MODEL, PointsModel, score_player
 from cricpred.strength import (
@@ -117,17 +117,11 @@ def synthetic_matches(season, n, teams=("AAA", "BBB"), start=None):
     return matches
 
 
-class Registry2:
-    def __contains__(self, acronym):
-        return True
-
-
 def two_team_dataset(seasons_n):
     matches = []
     for season, n in seasons_n:
         matches += synthetic_matches(season, n)
-    return MatchDataset(matches=tuple(sorted(matches, key=lambda m: m.date)),
-                        registry=default_registry(), venues=("V",))
+    return MatchDataset(matches=tuple(sorted(matches, key=lambda m: m.date)))
 
 
 def two_team_players(seasons, sum_a=1400.0, sum_b=700.0):
@@ -221,8 +215,7 @@ class TestLedger:
                             mode=PER_MATCH)
         for m in dataset.matches:
             truncated = MatchDataset(
-                matches=tuple(x for x in dataset.matches if x.date <= m.date),
-                registry=dataset.registry, venues=dataset.venues)
+                matches=tuple(x for x in dataset.matches if x.date <= m.date))
             part = build_ledger(REFERENCE_POINTS_MODEL, players, truncated,
                                 mode=PER_MATCH)
             for team in (m.home_team, m.away_team):
