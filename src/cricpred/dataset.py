@@ -128,6 +128,15 @@ def _csv_rows(path, required):
         raise IngestionError(f"{path}: not UTF-8 text ({exc})") from None
 
 
+def _text(row, column, rownum, path):
+    """The value of ``column`` without surrounding whitespace; an empty one
+    is an ``InvalidRow``."""
+    value = row[column].strip()
+    if not value:
+        raise InvalidRow(f"{path} row {rownum}: {column} is empty")
+    return value
+
+
 def _parse_int(value, column, rownum, path, minimum=None):
     try:
         parsed = int(value)
@@ -147,7 +156,7 @@ def load_matches(path) -> MatchDataset:
     matches = []
     seen_ids = {}
     for rownum, row in _csv_rows(path, MATCH_COLUMNS):
-        match_id = row["match_id"].strip()
+        match_id = _text(row, "match_id", rownum, path)
         if match_id in seen_ids:
             raise InvalidRow(
                 f"{path} row {rownum}: duplicate match_id {match_id!r} "
@@ -184,7 +193,7 @@ def load_matches(path) -> MatchDataset:
         matches.append(MatchRecord(
             match_id=match_id, season=season, date=date,
             home_team=home, away_team=away,
-            venue=normalize_venue(row["venue"]),
+            venue=normalize_venue(_text(row, "venue", rownum, path)),
             toss_winner=toss_winner, toss_decision=toss_decision,
             winner=winner))
     matches.sort(key=lambda m: (m.date, m.match_id))
@@ -200,7 +209,7 @@ def load_player_performances(path):
         team = row["team"].strip()
         if team not in TEAMS:
             raise UnknownTeam(f"{path} row {rownum}: unknown team acronym {team!r}")
-        player = row["player"].strip()
+        player = _text(row, "player", rownum, path)
         key = (season, team, player)
         if key in seen:
             raise DuplicatePlayer(

@@ -135,14 +135,8 @@ def build_schema(dataset: MatchDataset) -> FeatureSchema:
     """Schema over the categories observed in the dataset."""
     if not dataset.matches:
         raise EmptyDataset("cannot build a schema from an empty dataset")
-    observed = {name: set() for name in CATEGORICAL_FEATURES}
-    for m in dataset.matches:
-        observed["home_team"].add(m.home_team)
-        observed["away_team"].add(m.away_team)
-        observed["toss_winner"].add(m.toss_winner)
-        observed["toss_decision"].add(m.toss_decision)
-        observed["venue"].add(m.venue)
-    groups = tuple((name, tuple(sorted(observed[name]))) for name in CATEGORICAL_FEATURES)
+    groups = tuple((name, tuple(sorted({getattr(m, name) for m in dataset.matches})))
+                   for name in CATEGORICAL_FEATURES)
     return FeatureSchema(categorical_groups=groups)
 
 
@@ -189,10 +183,7 @@ def encode(dataset: MatchDataset, ledger: TeamWeightLedger,
             continue
         w1, w2 = lookup_weights(ledger, m)
         rows.append(encode_values(
-            schema,
-            {"home_team": m.home_team, "away_team": m.away_team,
-             "toss_winner": m.toss_winner, "toss_decision": m.toss_decision,
-             "venue": m.venue},
+            schema, {name: getattr(m, name) for name in CATEGORICAL_FEATURES},
             {"home_team_weight": w1, "away_team_weight": w2}))
         labels.append(label_of(m))
         ids.append(m.match_id)

@@ -39,60 +39,56 @@ def _real(v):
     return _integer(v) or (isinstance(v, float) and math.isfinite(v))
 
 
-# (default, validator) per hyperparameter
-_POSITIVE = lambda v: _real(v) and v > 0  # noqa: E731
-_NONNEG = lambda v: _real(v) and v >= 0  # noqa: E731
 _COUNT = lambda v: _integer(v) and v >= 1  # noqa: E731
 
+# (default, validator) per settable hyperparameter. Each learner's other
+# settings are constants in its own module.
 DEFAULT_HYPERPARAMETERS = {
     "naive_bayes": {},
-    "gradient_boosting": {
-        "n_rounds": (100, _COUNT),
-        "shrinkage": (0.1, _POSITIVE),
-        "max_depth": (3, _COUNT),
-    },
-    "linear_svm": {
-        "l2": (1e-4, _POSITIVE),
-    },
-    "logistic_regression": {
-        "l2": (1e-4, _NONNEG),
-    },
+    "gradient_boosting": {"n_rounds": (100, _COUNT)},
+    "linear_svm": {},
+    "logistic_regression": {"l2": (1e-4, lambda v: _real(v) and v >= 0)},
     "random_forest": {
         "n_trees": (100, _COUNT),
         "min_leaf": (1, _COUNT),
         "max_depth": (None, lambda v: v is None or (_integer(v) and v >= 0)),
         "bootstrap": (True, lambda v: isinstance(v, bool)),
     },
-    "mlp": {
-        "l2": (1e-4, _NONNEG),
-        "learning_rate": (0.001, _POSITIVE),
-        "epochs": (300, _COUNT),
-        "batch_size": (32, _COUNT),
-        "patience": (20, _COUNT),
-    },
+    "mlp": {"epochs": (300, _COUNT)},
 }
 
 
 @dataclass(frozen=True)
 class ClassifierSpec:
+    """A classifier kind, the hyperparameters set away from their defaults,
+    and the seed. Raises InvalidHyperparameter when made unless the kind is
+    one of ``KINDS``, the seed a non-negative integer and each
+    hyperparameter one of the kind's, in range."""
+
     kind: str
     hyperparameters: dict = field(default_factory=dict)
     seed: int = 0
 
-    def resolved_hyperparameters(self):
+    def __post_init__(self):
+        if self.kind not in DEFAULT_HYPERPARAMETERS:
+            raise InvalidHyperparameter(
+                f"unknown classifier kind {self.kind!r}; choose from {KINDS}")
+        if not (_integer(self.seed) and self.seed >= 0):
+            raise InvalidHyperparameter(
+                f"seed {self.seed!r} is not a non-negative integer")
         table = DEFAULT_HYPERPARAMETERS[self.kind]
         unknown = set(self.hyperparameters) - set(table)
         if unknown:
             raise InvalidHyperparameter(
                 f"unknown hyperparameter(s) for {self.kind}: {sorted(unknown)}")
-        resolved = {}
-        for name, (default, check) in table.items():
-            value = self.hyperparameters.get(name, default)
-            if not check(value):
+        for name, value in self.hyperparameters.items():
+            if not table[name][1](value):
                 raise InvalidHyperparameter(
                     f"{self.kind}.{name}={value!r} out of range")
-            resolved[name] = value
-        return resolved
+
+    def resolved_hyperparameters(self):
+        return {name: self.hyperparameters.get(name, default)
+                for name, (default, _) in DEFAULT_HYPERPARAMETERS[self.kind].items()}
 
     def to_dict(self):
         return {"kind": self.kind,
@@ -101,29 +97,19 @@ class ClassifierSpec:
 
     @classmethod
     def from_dict(cls, doc):
-        """Raises ValueError unless the seed is a non-negative integer."""
-        seed = doc["seed"]
-        if not (_integer(seed) and seed >= 0):
-            raise ValueError(f"seed {seed!r} is not a non-negative integer")
         return cls(kind=doc["kind"], hyperparameters=dict(doc["hyperparameters"]),
-                   seed=seed)
+                   seed=doc["seed"])
 
 
 def make_spec(kind: str, seed: int = 0, **hyperparameters) -> ClassifierSpec:
-    if kind not in KINDS:
-        raise InvalidHyperparameter(
-            f"unknown classifier kind {kind!r}; choose from {KINDS}")
-    spec = ClassifierSpec(kind=kind, hyperparameters=hyperparameters, seed=seed)
-    spec.resolved_hyperparameters()  # validate eagerly
-    return spec
+    return ClassifierSpec(kind=kind, hyperparameters=hyperparameters, seed=seed)
 
 
 class Classifier(NamedTuple):
     train: Callable      # (X, y, hyperparameters, seed, schema) -> parameters
     predict: Callable    # (parameters, X) -> P(class 1) per row
-    parameter_keys: tuple  # the keys of ``parameters`` that ``predict`` reads
-    # (document parameters, schema) -> parameters ``predict`` can read;
-    # raises ValueError on a malformed document
+    # (document parameters, schema) -> the parameters ``predict`` reads;
+    # raises KeyError on a missing key and ValueError on a malformed one
     load: Callable
 
 
@@ -211,11 +197,16 @@ def _load_naive_bayes(parameters, schema):
     return loaded
 
 
-def _load_linear(parameters, schema):
-    shapes = {"weights": (schema.total_columns,), "bias": (),
-              "platt_a": (), "platt_b": ()}  # the last two for the SVM
-    return {key: _numbers(parameters[key], key, shape)
-            for key, shape in shapes.items() if key in parameters}
+def _load_logistic(parameters, schema):
+    return {"weights": _numbers(parameters["weights"], "weights",
+                                (schema.total_columns,)),
+            "bias": _numbers(parameters["bias"], "bias")}
+
+
+def _load_linear_svm(parameters, schema):
+    return {**_load_logistic(parameters, schema),
+            "platt_a": _numbers(parameters["platt_a"], "platt_a"),
+            "platt_b": _numbers(parameters["platt_b"], "platt_b")}
 
 
 def _load_mlp(parameters, schema):
@@ -254,23 +245,21 @@ def _load_gradient_boosting(parameters, schema):
 # In the order ``--kind all`` trains them.
 CLASSIFIERS = {
     "naive_bayes": Classifier(
-        _train_naive_bayes, naive_bayes.predict_naive_bayes,
-        ("binary_mask", "class_0", "class_1"), _load_naive_bayes),
+        _train_naive_bayes, naive_bayes.predict_naive_bayes, _load_naive_bayes),
     "gradient_boosting": Classifier(
         _without_schema(ensemble.train_gradient_boosting),
-        ensemble.predict_gradient_boosting,
-        ("base_score", "shrinkage", *tree.TABLE_KEYS), _load_gradient_boosting),
+        ensemble.predict_gradient_boosting, _load_gradient_boosting),
     "linear_svm": Classifier(
         _without_schema(linear.train_linear_svm), linear.predict_linear_svm,
-        ("weights", "bias", "platt_a", "platt_b"), _load_linear),
+        _load_linear_svm),
     "logistic_regression": Classifier(
         _without_schema(linear.train_logistic), linear.predict_logistic,
-        ("weights", "bias"), _load_linear),
+        _load_logistic),
     "random_forest": Classifier(
         _without_schema(ensemble.train_random_forest),
-        ensemble.predict_random_forest, tree.TABLE_KEYS, _load_random_forest),
+        ensemble.predict_random_forest, _load_random_forest),
     "mlp": Classifier(
-        _without_schema(mlp.train_mlp), mlp.predict_mlp, ("layers",), _load_mlp),
+        _without_schema(mlp.train_mlp), mlp.predict_mlp, _load_mlp),
 }
 KINDS = list(CLASSIFIERS)
 
@@ -304,8 +293,6 @@ class TrainedClassifier:
 
 def train(spec: ClassifierSpec, data) -> TrainedClassifier:
     """Train one classifier; deterministic given (spec, data)."""
-    if spec.kind not in KINDS:
-        raise InvalidHyperparameter(f"unknown classifier kind {spec.kind!r}")
     hp = spec.resolved_hyperparameters()
     y = np.asarray(data.y, dtype=np.float64)
     if y.size == 0 or len(np.unique(y)) < 2:
@@ -364,22 +351,14 @@ def deserialize(doc: dict) -> ModelDocument:
         if doc["label_convention"] != LABEL_CONVENTION:
             raise ValueError(f"label_convention {doc['label_convention']!r} is not "
                              f"{LABEL_CONVENTION!r}")
-        spec = ClassifierSpec.from_dict(doc["spec"])
+        spec = ClassifierSpec.from_dict(doc["spec"])  # InvalidHyperparameter
         schema = FeatureSchema.from_dict(doc["schema"])
         if doc["schema_fingerprint"] != schema.fingerprint():
             raise ValueError("schema_fingerprint does not match the schema")
-        classifier = CLASSIFIERS[spec.kind]
-        spec.resolved_hyperparameters()  # raises InvalidHyperparameter
         training_rows = doc["training_rows"]
         if not _COUNT(training_rows):
             raise ValueError(f"training_rows {training_rows!r} is not a positive integer")
-        parameters = doc["parameters"]
-        missing = [key for key in classifier.parameter_keys
-                   if key not in parameters]
-        if missing:
-            raise CorruptDocument(
-                f"{spec.kind} model document parameters lack {', '.join(missing)}")
-        parameters = classifier.load(parameters, schema)
+        parameters = CLASSIFIERS[spec.kind].load(doc["parameters"], schema)
         model = TrainedClassifier(
             spec=spec, parameters=parameters, schema=schema,
             training_rows=training_rows)

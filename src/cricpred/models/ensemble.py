@@ -23,6 +23,10 @@ from .tree import (
 # enough to keep a level's rows (the group's bootstrap samples) small.
 TREE_GROUP = 25
 
+# Gradient boosting's learning rate and the depth of each round's tree.
+BOOSTING_SHRINKAGE = 0.1
+BOOSTING_MAX_DEPTH = 3
+
 
 def _join(tables):
     """One node table of the trees of ``tables``, in order: each table's
@@ -57,21 +61,18 @@ def predict_random_forest(params, X):
 
 
 def train_gradient_boosting(X, y, hp, seed):
-    n_rounds = hp["n_rounds"]
-    shrinkage = hp["shrinkage"]
-    max_depth = hp["max_depth"]
     base_rate = float(np.clip(y.mean(), 1e-12, 1 - 1e-12))
     f0 = math.log(base_rate / (1.0 - base_rate))
     f = np.full(X.shape[0], f0)
     trees = []
-    for _ in range(n_rounds):
+    for _ in range(hp["n_rounds"]):
         p = sigmoid(f)
         grad = y - p          # negative gradient of logistic loss
         hess = p * (1.0 - p)
-        tree = fit_regression_tree(X, grad, hess, max_depth=max_depth)
-        f = f + shrinkage * tree_predict_matrix(tree, X)[0]
+        tree = fit_regression_tree(X, grad, hess, max_depth=BOOSTING_MAX_DEPTH)
+        f = f + BOOSTING_SHRINKAGE * tree_predict_matrix(tree, X)[0]
         trees.append(tree)
-    return {"base_score": f0, "shrinkage": shrinkage, **_join(trees)}
+    return {"base_score": f0, "shrinkage": BOOSTING_SHRINKAGE, **_join(trees)}
 
 
 def predict_gradient_boosting(params, X):

@@ -25,6 +25,9 @@ STEP_TOL = 1e-6
 MAX_NEWTON_STEPS = 100
 _EPS = np.finfo(np.float64).eps
 
+# L2 strength of the linear SVM's squared hinge.
+SVM_L2 = 1e-4
+
 
 def _backtrack(objective, loss, slope, noise):
     """Armijo backtracking along a Newton step: the first ``t`` in 1, 1/2,
@@ -177,7 +180,7 @@ def _fit_platt(scores, y):
 
 
 def train_linear_svm(X, y, hp, seed):
-    w, b = fit_squared_hinge(X, y, lam=hp["l2"])
+    w, b = fit_squared_hinge(X, y, lam=SVM_L2)
     A, B = _fit_platt(X @ w + b, y)
     return {"weights": w, "bias": b, "platt_a": A, "platt_b": B}
 

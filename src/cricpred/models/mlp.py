@@ -16,6 +16,11 @@ from ..errors import NonConvergence
 from .linear import sigmoid
 
 HIDDEN_UNITS = (10, 10, 10)
+MLP_L2 = 1e-4
+BATCH_SIZE = 32
+# Training stops after PATIENCE epochs without a new lowest training loss.
+PATIENCE = 20
+ADAM_LEARNING_RATE = 0.001
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -79,11 +84,6 @@ def mlp_loss_and_gradient(params, X, y, lam):
 def train_mlp(X, y, hp, seed):
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).reshape(-1, 1)
-    lam = hp["l2"]
-    lr = hp["learning_rate"]
-    epochs = hp["epochs"]
-    batch_size = hp["batch_size"]
-    patience = hp["patience"]
 
     template = init_params(X.shape[1], seed)
     theta = flatten(template)
@@ -100,11 +100,11 @@ def train_mlp(X, y, hp, seed):
     best_theta = theta.copy()
     stale = 0
 
-    for _ in range(epochs):
+    for _ in range(hp["epochs"]):
         order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            batch = order[start:start + batch_size]
-            _gradient(params, X[batch], y[batch], lam, grads)
+        for start in range(0, n, BATCH_SIZE):
+            batch = order[start:start + BATCH_SIZE]
+            _gradient(params, X[batch], y[batch], MLP_L2, grads)
             step += 1
             correction = (np.sqrt(1.0 - ADAM_BETA2 ** step)
                           / (1.0 - ADAM_BETA1 ** step))
@@ -112,8 +112,8 @@ def train_mlp(X, y, hp, seed):
             m += (1.0 - ADAM_BETA1) * grad
             v *= ADAM_BETA2
             v += (1.0 - ADAM_BETA2) * grad * grad
-            theta -= (lr * correction) * m / (np.sqrt(v) + ADAM_EPS)
-        epoch_loss = _loss(params, _forward(params, X)[1], y, lam)
+            theta -= (ADAM_LEARNING_RATE * correction) * m / (np.sqrt(v) + ADAM_EPS)
+        epoch_loss = _loss(params, _forward(params, X)[1], y, MLP_L2)
         history.append(epoch_loss)
         if not np.isfinite(epoch_loss):
             raise NonConvergence(
@@ -124,7 +124,7 @@ def train_mlp(X, y, hp, seed):
             stale = 0
         else:
             stale += 1
-            if stale >= patience:
+            if stale >= PATIENCE:
                 break
     return {"layers": unflatten(best_theta, template)}
 

@@ -5,7 +5,13 @@ import pytest
 
 from cricpred.errors import InvalidHyperparameter, NonConvergence, SingleClassData
 from cricpred.features import RFE_L2, EncodedDataset, _standardize
-from cricpred.models import make_spec, mlp_loss_and_gradient, serialize, train
+from cricpred.models import (
+    ClassifierSpec,
+    make_spec,
+    mlp_loss_and_gradient,
+    serialize,
+    train,
+)
 from cricpred.models.linear import (
     GRADIENT_TOL,
     _fit_platt,
@@ -54,9 +60,11 @@ class TestTrain:
 
     def test_invalid_hyperparameters(self):
         with pytest.raises(InvalidHyperparameter):
-            make_spec("mlp", learning_rate=-1.0)
+            make_spec("mlp", epochs=0)
         with pytest.raises(InvalidHyperparameter):
             make_spec("random_forest", n_trees=0)
+        with pytest.raises(InvalidHyperparameter):
+            make_spec("logistic_regression", l2=-1.0)
         with pytest.raises(InvalidHyperparameter):
             make_spec("logistic_regression", bogus=1)
         with pytest.raises(InvalidHyperparameter):
@@ -69,12 +77,36 @@ class TestTrain:
         with pytest.raises(InvalidHyperparameter):
             make_spec("random_forest", max_depth=False)
         with pytest.raises(InvalidHyperparameter):
-            make_spec("gradient_boosting", shrinkage=float("inf"))
+            make_spec("gradient_boosting", n_rounds=True)
+        with pytest.raises(InvalidHyperparameter):
+            make_spec("logistic_regression", l2=float("inf"))
         # not numbers at all: InvalidHyperparameter, not a TypeError
         with pytest.raises(InvalidHyperparameter):
-            make_spec("mlp", learning_rate="x")
+            make_spec("mlp", epochs="x")
         with pytest.raises(InvalidHyperparameter):
             make_spec("logistic_regression", l2=None)
+
+    @pytest.mark.parametrize("kind, name, value", [
+        ("gradient_boosting", "shrinkage", 0.1), ("gradient_boosting", "max_depth", 3),
+        ("linear_svm", "l2", 1e-4), ("mlp", "l2", 1e-4),
+        ("mlp", "learning_rate", 0.001), ("mlp", "batch_size", 32),
+        ("mlp", "patience", 20)])
+    def test_constants_are_not_hyperparameters(self, kind, name, value):
+        """Settings that are module constants are unknown names, even at
+        the value the constant holds."""
+        with pytest.raises(InvalidHyperparameter, match="unknown hyperparameter"):
+            make_spec(kind, **{name: value})
+
+    def test_spec_checked_when_made(self):
+        """A spec is checked when it is made, not when it is trained."""
+        with pytest.raises(InvalidHyperparameter, match="seed -1"):
+            make_spec("mlp", seed=-1)
+        with pytest.raises(InvalidHyperparameter, match="seed True"):
+            make_spec("mlp", seed=True)
+        with pytest.raises(InvalidHyperparameter, match="unknown classifier kind 'bogus'"):
+            ClassifierSpec(kind="bogus")
+        with pytest.raises(InvalidHyperparameter, match="mlp.epochs=0"):
+            ClassifierSpec(kind="mlp", hyperparameters={"epochs": 0})
 
     def test_schema_fingerprint_recorded(self, separable):
         model = train(make_spec("logistic_regression"), separable)

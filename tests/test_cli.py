@@ -32,7 +32,7 @@ class TestIngest:
 
     def test_malformed_header_exit_2(self, capsys, tmp_path, data_args):
         bad = tmp_path / "matches.csv"
-        bad.write_text("match_id,season,date\n")
+        bad.write_text("match_id,season,date\n", encoding="utf-8")
         code, _, err = run(capsys, "ingest", "--matches", str(bad),
                            "--players", data_args[3])
         assert code == 2
@@ -40,8 +40,8 @@ class TestIngest:
 
     def test_empty_players_exit_2(self, capsys, tmp_path, data_args):
         empty = tmp_path / "players.csv"
-        with open(fixture_path("players.csv")) as fh:
-            empty.write_text(fh.readline())
+        with open(fixture_path("players.csv"), encoding="utf-8") as fh:
+            empty.write_text(fh.readline(), encoding="utf-8")
         code, _, err = run(capsys, "ingest", "--matches", data_args[1],
                            "--players", str(empty))
         assert code == 2
@@ -75,7 +75,7 @@ class TestTrain:
             "model_logistic_regression.json", "model_mlp.json",
             "model_naive_bayes.json", "model_random_forest.json"]
         for path in tmp_path.glob("model_*.json"):
-            doc = json.loads(path.read_text())
+            doc = json.loads(path.read_text(encoding="utf-8"))
             assert doc["format_version"] == FORMAT_VERSION
             assert doc["team_weights"] is not None
 
@@ -92,14 +92,14 @@ class TestTrain:
         cfg.write_text(f"matches = {data_args[1]}\n"
                        f"players = {data_args[3]}\n"
                        "kind = naive_bayes\n"
-                       f"out_dir = {tmp_path}\n")
+                       f"out_dir = {tmp_path}\n", encoding="utf-8")
         code, out, _ = run(capsys, "train", "--config", str(cfg))
         assert code == 0
         assert (tmp_path / "model_naive_bayes.json").exists()
 
     def test_unknown_config_key_exit_2(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("bogus = 1\n")
+        cfg.write_text("bogus = 1\n", encoding="utf-8")
         code, _, err = run(capsys, "train", "--config", str(cfg))
         assert code == 2
         assert "bogus" in err
@@ -114,7 +114,7 @@ class TestTrain:
                                  stumpings, origin):
         """Official points on the first ``rows`` player rows (all when
         None), with every ``stumpings`` replaced when it is given."""
-        with open(fixture_path("players.csv"), newline="") as fh:
+        with open(fixture_path("players.csv"), newline="", encoding="utf-8") as fh:
             players = list(csv.DictReader(fh))
         for i, row in enumerate(players):
             if stumpings is not None:
@@ -125,7 +125,7 @@ class TestTrain:
                     + 4 * int(row["fours"]) + 6 * int(row["sixes"])
                     + 8 * int(row["catches"]) + 12 * int(row["stumpings"]) + i % 5)
         path = tmp_path / "players.csv"
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(players[0]))
             writer.writeheader()
             writer.writerows(players)
@@ -196,7 +196,7 @@ class TestPredict:
         toss = ["--home", "CSK", "--away", "RR", "--toss-winner", "CSK",
                 "--venue", "Dr DY Patil Sports Academy", "--toss-decision", "bat"]
         cfg = tmp_path / "predict.cfg"
-        cfg.write_text(f"model = {model_path}\n")
+        cfg.write_text(f"model = {model_path}\n", encoding="utf-8")
         code, out, _ = run(capsys, "predict", "--config", str(cfg), *toss)
         assert code == 0 and out.startswith("predicted winner:")
         code, out, err = run(capsys, "predict", *toss)
@@ -208,9 +208,9 @@ class TestPredict:
 
     def test_corrupt_model_exit_3(self, capsys, tmp_path, model_path):
         broken = tmp_path / "broken.json"
-        with open(model_path) as fh:
+        with open(model_path, encoding="utf-8") as fh:
             blob = fh.read()
-        broken.write_text(blob[: len(blob) // 3])
+        broken.write_text(blob[: len(blob) // 3], encoding="utf-8")
         code, _, err = run(capsys, "predict", "--model", str(broken),
                            "--home", "CSK", "--away", "RR",
                            "--venue", "Dr DY Patil Sports Academy",
@@ -223,7 +223,7 @@ class TestTeamWeights:
         code, out, _ = run(capsys, "team-weights", *data_args,
                            "--out-dir", str(tmp_path))
         assert code == 0
-        with open(tmp_path / "team_weights.csv", newline="") as fh:
+        with open(tmp_path / "team_weights.csv", newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         keys = [(r["season"], r["team"]) for r in rows]
         assert keys == sorted(keys)
@@ -251,11 +251,11 @@ class TestCvAndReport:
                            "--out-dir", str(tmp_path))
         assert code == 0
         assert "holdout season 2017" in out
-        with open(tmp_path / "holdout_report.csv", newline="") as fh:
+        with open(tmp_path / "holdout_report.csv", newline="", encoding="utf-8") as fh:
             metrics = dict((r["metric"], r["value"])
                            for r in csv.DictReader(fh))
         assert 0.0 <= float(metrics["accuracy"]) <= 1.0
-        with open(tmp_path / "holdout_predictions.csv", newline="") as fh:
+        with open(tmp_path / "holdout_predictions.csv", newline="", encoding="utf-8") as fh:
             preds = list(csv.DictReader(fh))
         assert len(preds) == int(metrics["n_evaluated"])
         assert set(preds[0]) == {"match_id", "probability", "predicted",

@@ -47,13 +47,13 @@ def config(tmp, text):
 
 
 def edited(tmp, model, edit):
-    doc = json.loads(Path(model).read_text())
+    doc = json.loads(Path(model).read_text(encoding="utf-8"))
     edit(doc)
     return write(tmp, "edited.json", json.dumps(doc))
 
 
 def truncated(tmp, model):
-    blob = Path(model).read_text()
+    blob = Path(model).read_text(encoding="utf-8")
     return write(tmp, "truncated.json", blob[: len(blob) // 3])
 
 
@@ -150,6 +150,17 @@ FAULTS = [
     ("ingest-short-players-row", 2, False,
      lambda t, m: ["ingest", "--matches", MATCHES,
                    "--players", appended(t, PLAYERS, "2017,CSK,Zed,3")]),
+    ("ingest-empty-match-id", 2, False,
+     lambda t, m: ["ingest", "--matches", appended(
+         t, MATCHES, ",2017,2017-05-01,CSK,RR,Wankhede Stadium,CSK,bat,CSK"),
+                   "--players", PLAYERS]),
+    ("ingest-blank-venue", 2, False,
+     lambda t, m: ["ingest", "--matches", appended(
+         t, MATCHES, "x1,2017,2017-05-01,CSK,RR,  ,CSK,bat,CSK"),
+                   "--players", PLAYERS]),
+    ("ingest-empty-player", 2, False,
+     lambda t, m: ["ingest", "--matches", MATCHES,
+                   "--players", appended(t, PLAYERS, "2017,CSK,,3,1,1,1,1,1,0,")]),
     ("fit-points-official-points-nan", 2, False,
      lambda t, m: ["fit-points", "--matches", MATCHES,
                    "--players", official_points(t, "nan")]),
@@ -164,7 +175,8 @@ FAULTS = [
                    official_points(t, "inf"), "--out-dir", str(t)]),
     ("fit-points-no-player-rows", 2, False,
      lambda t, m: ["fit-points", "--matches", MATCHES, "--players",
-                   write(t, "p.csv", Path(PLAYERS).read_text().splitlines()[0])]),
+                   write(t, "p.csv",
+                         Path(PLAYERS).read_text(encoding="utf-8").splitlines()[0])]),
     ("train-target-count-99", 2, False,
      lambda t, m: ["train", *DATA, "--target-count", "99", "--out-dir", str(t)]),
     ("report-season-without-matches", 2, False,
@@ -372,6 +384,7 @@ PARAMETER_FAULTS = [
     ("forest-leaf-negative", "random_forest", lambda p: set_leaves(p, -0.5)),
     # a whole key missing, one row per kind
     ("svm-platt-a-missing", "linear_svm", lambda p: p.pop("platt_a")),
+    ("svm-platt-b-missing", "linear_svm", lambda p: p.pop("platt_b")),
     ("forest-roots-missing", "random_forest", lambda p: p.pop("roots")),
     ("boosting-base-score-missing", "gradient_boosting",
      lambda p: p.pop("base_score")),
@@ -476,6 +489,8 @@ DOCUMENT_FAULTS = [
     ("points-coefficient-string", set_in("points_model", "per_wicket", "3.5")),
     ("hyperparameter-unknown", set_in("spec", "hyperparameters", {"foo": "bar"})),
     ("hyperparameter-out-of-range", set_in("spec", "hyperparameters", {"l2": -1.0})),
+    ("spec-kind-unknown", set_in("spec", "kind", "bogus")),
+    ("seed-negative", set_in("spec", "seed", -1)),
     ("seed-boolean", set_in("spec", "seed", True)),
     ("seed-string", set_in("spec", "seed", "12")),
     ("training-rows-boolean", lambda d: d.update(training_rows=True)),
@@ -506,6 +521,21 @@ def test_corrupt_document_exit_3(capsys, tmp_path, model, fault, command):
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
+@pytest.mark.parametrize("kind, name, value", [
+    ("gradient_boosting", "shrinkage", 0.1), ("linear_svm", "l2", 1e-4),
+    ("mlp", "patience", 20)])
+def test_constant_named_as_hyperparameter_exit_3(capsys, tmp_path, documents,
+                                                  kind, name, value):
+    """A setting that is a module constant is not a hyperparameter: a
+    hand-made document that names one, even at the constant's value, is an
+    InvalidHyperparameter."""
+    path = edited(tmp_path, documents[kind],
+                  set_in("spec", "hyperparameters", {name: value}))
+    assert main(predict(path)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown hyperparameter") and len(err.splitlines()) == 1
 
 
 FAMILY_CODES = {
@@ -546,7 +576,7 @@ def test_console_script_exit_code_without_traceback(tmp_path):
     src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run(
         [sys.executable, "-m", "cricpred.cli", *predict(str(tmp_path / "none.json"))],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
-        timeout=120)
+        capture_output=True, encoding="utf-8",
+        env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr

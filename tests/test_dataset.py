@@ -67,6 +67,17 @@ class TestLoadMatches:
         with pytest.raises(InvalidRow, match="duplicate match_id"):
             ds.load_matches(path)
 
+    @pytest.mark.parametrize("column, row", [
+        ("match_id", ",2018,2018-04-07,CSK,RR,Venue,CSK,bat,CSK"),
+        ("match_id", " ,2018,2018-04-07,CSK,RR,Venue,CSK,bat,CSK"),
+        ("venue", "m1,2018,2018-04-07,CSK,RR,,CSK,bat,CSK"),
+        ("venue", "m1,2018,2018-04-07,CSK,RR, \t ,CSK,bat,CSK"),
+    ], ids=["match-id-empty", "match-id-blank", "venue-empty", "venue-blank"])
+    def test_empty_text_field(self, tmp_path, column, row):
+        path = write(tmp_path / "m.csv", MATCH_HEADER + "\n" + row + "\n")
+        with pytest.raises(InvalidRow, match=f"row 2: {column} is empty"):
+            ds.load_matches(path)
+
     def test_missing_column(self, tmp_path):
         path = write(tmp_path / "m.csv", "match_id,season,date\n")
         with pytest.raises(MissingColumn):
@@ -143,6 +154,13 @@ class TestLoadPlayers:
         row = "2018,CSK,PlayerA,10,5,40,12,8,6,1,\n"
         path = write(tmp_path / "p.csv", PLAYER_HEADER + "\n" + row + row)
         with pytest.raises(DuplicatePlayer):
+            ds.load_player_performances(path)
+
+    @pytest.mark.parametrize("player", ["", "   "], ids=["empty", "blank"])
+    def test_empty_player(self, tmp_path, player):
+        path = write(tmp_path / "p.csv", PLAYER_HEADER + "\n"
+                     f"2018,CSK,{player},10,5,40,12,8,6,1,\n")
+        with pytest.raises(InvalidRow, match="row 2: player is empty"):
             ds.load_player_performances(path)
 
     def test_row_missing_a_middle_field(self, tmp_path):

@@ -94,8 +94,8 @@ class TestRejections:
         doc, _ = self.make_doc()
         path = tmp_path / "model.json"
         save_document(doc, path)
-        blob = path.read_text()
-        path.write_text(blob[: len(blob) // 2])
+        blob = path.read_text(encoding="utf-8")
+        path.write_text(blob[: len(blob) // 2], encoding="utf-8")
         with pytest.raises(CorruptDocument):
             load_document(path)
 
