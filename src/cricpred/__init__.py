@@ -34,7 +34,6 @@ from .strength import (  # noqa: F401
     PER_SEASON,
     TeamWeightLedger,
     build_ledger,
-    lookup_weights,
     team_weight,
 )
 

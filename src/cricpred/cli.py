@@ -235,7 +235,7 @@ def cmd_predict(args):
         {"home_team": home, "away_team": away, "toss_winner": toss_winner,
          "toss_decision": args.toss_decision, "venue": args.venue},
         {"home_team_weight": w1, "away_team_weight": w2})
-    p_home = document.model.predict_proba(row)
+    p_home = float(document.model.predict_proba_matrix(row)[0])
     winner = home if p_home >= 0.5 else away
     print(f"predicted winner: {winner}")
     print(f"home win probability: {p_home:.4f}")

@@ -122,7 +122,7 @@ def evaluate_holdout(model, holdout):
     Returns ``(report, rows)`` where rows are
     ``(match_id, probability, predicted, actual)`` in dataset order.
     """
-    if holdout.schema.fingerprint() != model.schema_fingerprint:
+    if holdout.schema.fingerprint() != model.schema.fingerprint():
         raise SchemaMismatch("holdout schema does not match the trained model")
     probs = model.predict_proba_matrix(holdout.X)
     preds = (probs >= 0.5).astype(int)

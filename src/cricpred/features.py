@@ -15,7 +15,7 @@ from .errors import EmptyDataset, TargetTooLarge, TooFewRows
 from .evaluation import cross_validate
 from .models.base import make_spec
 from .models.linear import fit_logistic
-from .strength import TeamWeightLedger, lookup_weights
+from .strength import TeamWeightLedger
 
 CATEGORICAL_FEATURES = ["home_team", "away_team", "toss_winner", "toss_decision", "venue"]
 NUMERIC_FEATURES = ["home_team_weight", "away_team_weight"]
@@ -61,12 +61,6 @@ class FeatureSchema:
         n_dummy = self.total_columns - len(self.numeric_features)
         mask[:n_dummy] = True
         return mask
-
-    def dropped_category(self, name):
-        for group, cats in self.categorical_groups:
-            if group == name:
-                return cats[0]
-        raise KeyError(name)
 
     def to_dict(self):
         return {
@@ -181,10 +175,10 @@ def encode(dataset: MatchDataset, ledger: TeamWeightLedger,
     for m in dataset.matches:
         if not m.has_result:
             continue
-        w1, w2 = lookup_weights(ledger, m)
         rows.append(encode_values(
             schema, {name: getattr(m, name) for name in CATEGORICAL_FEATURES},
-            {"home_team_weight": w1, "away_team_weight": w2}))
+            {"home_team_weight": ledger.weight_for(m.home_team, m),
+             "away_team_weight": ledger.weight_for(m.away_team, m)}))
         labels.append(label_of(m))
         ids.append(m.match_id)
     n = len(rows)

@@ -9,7 +9,8 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -41,42 +42,29 @@ def _real(v):
 
 _COUNT = lambda v: _integer(v) and v >= 1  # noqa: E731
 
-# (default, validator) per settable hyperparameter. Each learner's other
-# settings are constants in its own module.
-DEFAULT_HYPERPARAMETERS = {
-    "naive_bayes": {},
-    "gradient_boosting": {"n_rounds": (100, _COUNT)},
-    "linear_svm": {},
-    "logistic_regression": {"l2": (1e-4, lambda v: _real(v) and v >= 0)},
-    "random_forest": {
-        "n_trees": (100, _COUNT),
-        "min_leaf": (1, _COUNT),
-        "max_depth": (None, lambda v: v is None or (_integer(v) and v >= 0)),
-        "bootstrap": (True, lambda v: isinstance(v, bool)),
-    },
-    "mlp": {"epochs": (300, _COUNT)},
-}
-
 
 @dataclass(frozen=True)
 class ClassifierSpec:
     """A classifier kind, the hyperparameters set away from their defaults,
     and the seed. Raises InvalidHyperparameter when made unless the kind is
     one of ``KINDS``, the seed a non-negative integer and each
-    hyperparameter one of the kind's, in range."""
+    hyperparameter one of the kind's, in range. Holds a read-only copy of
+    the hyperparameters, so the spec that was checked is the one trained."""
 
     kind: str
-    hyperparameters: dict = field(default_factory=dict)
+    hyperparameters: Mapping = field(default_factory=dict)
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in DEFAULT_HYPERPARAMETERS:
+        object.__setattr__(self, "hyperparameters",
+                           MappingProxyType(dict(self.hyperparameters)))
+        if self.kind not in CLASSIFIERS:
             raise InvalidHyperparameter(
                 f"unknown classifier kind {self.kind!r}; choose from {KINDS}")
         if not (_integer(self.seed) and self.seed >= 0):
             raise InvalidHyperparameter(
                 f"seed {self.seed!r} is not a non-negative integer")
-        table = DEFAULT_HYPERPARAMETERS[self.kind]
+        table = CLASSIFIERS[self.kind].hyperparameters
         unknown = set(self.hyperparameters) - set(table)
         if unknown:
             raise InvalidHyperparameter(
@@ -88,7 +76,7 @@ class ClassifierSpec:
 
     def resolved_hyperparameters(self):
         return {name: self.hyperparameters.get(name, default)
-                for name, (default, _) in DEFAULT_HYPERPARAMETERS[self.kind].items()}
+                for name, (default, _) in CLASSIFIERS[self.kind].hyperparameters.items()}
 
     def to_dict(self):
         return {"kind": self.kind,
@@ -111,6 +99,9 @@ class Classifier(NamedTuple):
     # (document parameters, schema) -> the parameters ``predict`` reads;
     # raises KeyError on a missing key and ValueError on a malformed one
     load: Callable
+    # name -> (default, validator) per settable hyperparameter. The
+    # learner's other settings are constants in its own module.
+    hyperparameters: dict
 
 
 def _without_schema(trainer):
@@ -245,21 +236,28 @@ def _load_gradient_boosting(parameters, schema):
 # In the order ``--kind all`` trains them.
 CLASSIFIERS = {
     "naive_bayes": Classifier(
-        _train_naive_bayes, naive_bayes.predict_naive_bayes, _load_naive_bayes),
+        _train_naive_bayes, naive_bayes.predict_naive_bayes, _load_naive_bayes, {}),
     "gradient_boosting": Classifier(
         _without_schema(ensemble.train_gradient_boosting),
-        ensemble.predict_gradient_boosting, _load_gradient_boosting),
+        ensemble.predict_gradient_boosting, _load_gradient_boosting,
+        {"n_rounds": (100, _COUNT)}),
     "linear_svm": Classifier(
         _without_schema(linear.train_linear_svm), linear.predict_linear_svm,
-        _load_linear_svm),
+        _load_linear_svm, {}),
     "logistic_regression": Classifier(
         _without_schema(linear.train_logistic), linear.predict_logistic,
-        _load_logistic),
+        _load_logistic, {"l2": (1e-4, lambda v: _real(v) and v >= 0)}),
     "random_forest": Classifier(
         _without_schema(ensemble.train_random_forest),
-        ensemble.predict_random_forest, _load_random_forest),
+        ensemble.predict_random_forest, _load_random_forest, {
+            "n_trees": (100, _COUNT),
+            "min_leaf": (1, _COUNT),
+            "max_depth": (None, lambda v: v is None or (_integer(v) and v >= 0)),
+            "bootstrap": (True, lambda v: isinstance(v, bool)),
+        }),
     "mlp": Classifier(
-        _without_schema(mlp.train_mlp), mlp.predict_mlp, _load_mlp),
+        _without_schema(mlp.train_mlp), mlp.predict_mlp, _load_mlp,
+        {"epochs": (300, _COUNT)}),
 }
 KINDS = list(CLASSIFIERS)
 
@@ -271,10 +269,6 @@ class TrainedClassifier:
     schema: FeatureSchema
     training_rows: int
 
-    @property
-    def schema_fingerprint(self):
-        return self.schema.fingerprint()
-
     def predict_proba_matrix(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if X.shape[1] != self.schema.total_columns:
@@ -282,13 +276,6 @@ class TrainedClassifier:
                 f"row has {X.shape[1]} columns, model expects "
                 f"{self.schema.total_columns}")
         return CLASSIFIERS[self.spec.kind].predict(self.parameters, X)
-
-    def predict_proba(self, row) -> float:
-        return float(self.predict_proba_matrix(np.atleast_2d(row))[0])
-
-    def predict(self, row) -> int:
-        # exact 0.5 resolves to class 1
-        return 1 if self.predict_proba(row) >= 0.5 else 0
 
 
 def train(spec: ClassifierSpec, data) -> TrainedClassifier:
@@ -329,7 +316,7 @@ def serialize(model: TrainedClassifier, points_model: PointsModel | None = None,
         "label_convention": LABEL_CONVENTION,
         "spec": model.spec.to_dict(),
         "schema": model.schema.to_dict(),
-        "schema_fingerprint": model.schema_fingerprint,
+        "schema_fingerprint": model.schema.fingerprint(),
         "training_rows": model.training_rows,
         "points_model": points_model.to_dict() if points_model else None,
         "team_weights": ledger.to_dict() if ledger else None,

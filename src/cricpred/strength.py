@@ -15,6 +15,12 @@ of any of their players. Dropping later matches from the match list leaves
 a match's weight unchanged, but neither mode is causal: both read
 end-of-season player totals, which include the match being predicted and
 later ones.
+
+A ledger holds each weight under the key of its document row,
+``(team, season, as_of)``: ``as_of`` is ``"season"`` in ``per_season`` and
+the match date's ISO string in ``per_match``. A date that falls in two of a
+team's seasons (a season that runs into the next year) keeps one weight
+for each.
 """
 
 from __future__ import annotations
@@ -56,28 +62,23 @@ def _top_sum(scored):
 @dataclass(frozen=True)
 class TeamWeightLedger:
     mode: str
-    entries: dict = field(default_factory=dict)  # (team, season) or (team, date) -> weight
-    seasons: dict = field(default_factory=dict)  # per_match only: (team, date) -> season
+    # (team, season, as_of) -> weight, keyed as the document stores each
+    # row: as_of is "season" (per_season) or the match date's ISO string
+    entries: dict = field(default_factory=dict)
 
     def weight_for(self, team: str, match: MatchRecord) -> float:
-        key = (team, match.season) if self.mode == PER_SEASON else (team, match.date)
+        as_of = "season" if self.mode == PER_SEASON else match.date.isoformat()
         try:
-            return self.entries[key]
+            return self.entries[(team, match.season, as_of)]
         except KeyError:
-            when = match.season if self.mode == PER_SEASON else match.date
+            when = match.season if self.mode == PER_SEASON else as_of
             raise LedgerMiss(f"no weight for team {team} at {when}") from None
 
     def rows(self):
         """(team, season, as_of, weight) tuples sorted by (season, team, as_of)."""
-        out = []
-        for key, weight in self.entries.items():
-            team, when = key
-            if self.mode == PER_SEASON:
-                out.append((team, when, "season", weight))
-            else:
-                out.append((team, self.seasons[key], when.isoformat(), weight))
-        out.sort(key=lambda r: (r[1], r[0], r[2]))
-        return out
+        return sorted(((team, season, as_of, weight)
+                       for (team, season, as_of), weight in self.entries.items()),
+                      key=lambda r: (r[1], r[0], r[2]))
 
     def to_dict(self):
         return {
@@ -94,9 +95,10 @@ class TeamWeightLedger:
         string, a season that is not an integer, a weight that is not a
         finite JSON number (a string, boolean, null, NaN or infinity), a
         key given twice or, for ``per_match``, an ``as_of`` that is not an
-        ISO date (TypeError if it is not a string)."""
+        ISO date (TypeError if it is not a string). A ``per_season`` row's
+        ``as_of`` is not read."""
         import datetime as dt
-        entries, seasons = {}, {}
+        entries = {}
         mode = doc["mode"]
         if mode not in (PER_SEASON, PER_MATCH):
             raise ValueError(f"unknown ledger mode {mode!r}")
@@ -108,21 +110,14 @@ class TeamWeightLedger:
             if type(weight) not in (int, float) or not math.isfinite(weight):
                 raise ValueError(f"team {team!r} has weight {weight!r}, "
                                  "not a finite number")
-            if mode == PER_SEASON:
-                key = (team, season)
-            else:
-                key = (team, dt.date.fromisoformat(row["as_of"]))
-                seasons[key] = season
+            as_of = ("season" if mode == PER_SEASON
+                     else dt.date.fromisoformat(row["as_of"]).isoformat())
+            key = (team, season, as_of)
             if key in entries:
-                raise ValueError(f"the ledger holds team {team!r} at {key[1]} twice")
+                raise ValueError(f"the ledger holds team {team!r} at "
+                                 f"{season if mode == PER_SEASON else as_of} twice")
             entries[key] = float(weight)
-        return cls(mode=mode, entries=entries, seasons=seasons)
-
-
-def lookup_weights(ledger: TeamWeightLedger, match: MatchRecord):
-    """(home_weight, away_weight) for one match."""
-    return (ledger.weight_for(match.home_team, match),
-            ledger.weight_for(match.away_team, match))
+        return cls(mode=mode, entries=entries)
 
 
 def _season_weight(scored, decisive):
@@ -168,7 +163,9 @@ def build_ledger(points_model: PointsModel, performances, dataset: MatchDataset,
         season_weights[(team, season)] = _season_weight(
             roster, len(decisive[(team, season)]))
     if mode == PER_SEASON:
-        return TeamWeightLedger(mode=PER_SEASON, entries=season_weights)
+        return TeamWeightLedger(mode=PER_SEASON, entries={
+            (team, season, "season"): weight
+            for (team, season), weight in season_weights.items()})
 
     # Cold start (k = 0); the roster proxies use the current season's rosters.
     def cold_start(team, season):
@@ -178,7 +175,7 @@ def build_ledger(points_model: PointsModel, performances, dataset: MatchDataset,
         return statistics.median(_season_weight(rosters[key], 0)
                                  for key in season_weights if key[1] == season)
 
-    entries, seasons = {}, {}
+    entries = {}
     for (team, season), team_dates in dates.items():
         played = sorted(decisive[(team, season)])
         for date in sorted(team_dates):
@@ -187,6 +184,5 @@ def build_ledger(points_model: PointsModel, performances, dataset: MatchDataset,
                 weight = _rolling_weight(rosters[(team, season)], so_far)
             else:
                 weight = cold_start(team, season)
-            entries[(team, date)] = weight
-            seasons[(team, date)] = season
-    return TeamWeightLedger(mode=PER_MATCH, entries=entries, seasons=seasons)
+            entries[(team, season, date.isoformat())] = weight
+    return TeamWeightLedger(mode=PER_MATCH, entries=entries)

@@ -152,7 +152,7 @@ def test_07_team_weight_fixture_and_causality():
         part = build_ledger(REFERENCE_POINTS_MODEL, players, truncated,
                             mode=PER_MATCH)
         for team in (m.home_team, m.away_team):
-            assert part.entries[(team, m.date)] == full.entries[(team, m.date)]
+            assert part.weight_for(team, m) == full.weight_for(team, m)
             checked += 1
     print(f"\nPASS 7: 25-player roster weight 101.75 exact; per-match "
           f"causality held for {checked} (team, date) cells")

@@ -108,9 +108,22 @@ class TestTrain:
         with pytest.raises(InvalidHyperparameter, match="mlp.epochs=0"):
             ClassifierSpec(kind="mlp", hyperparameters={"epochs": 0})
 
+    def test_spec_hyperparameters_read_only(self):
+        """The hyperparameters a spec checked when made are the ones it
+        trains with: neither the spec's mapping nor the caller's dict can
+        change them afterwards."""
+        with pytest.raises(TypeError):
+            make_spec("mlp").hyperparameters["epochs"] = 0
+        chosen = {"epochs": 5}
+        spec = ClassifierSpec(kind="mlp", hyperparameters=chosen)
+        chosen["epochs"] = 0
+        assert spec.hyperparameters == {"epochs": 5}
+        assert spec.to_dict() == {"kind": "mlp", "hyperparameters": {"epochs": 5},
+                                  "seed": 0}
+
     def test_schema_fingerprint_recorded(self, separable):
         model = train(make_spec("logistic_regression"), separable)
-        assert model.schema_fingerprint == separable.schema.fingerprint()
+        assert serialize(model)["schema_fingerprint"] == separable.schema.fingerprint()
         assert model.training_rows == len(separable.y)
 
 
@@ -133,8 +146,7 @@ class TestPredictProba:
             spec=make_spec("mlp"), parameters={"layers": layers},
             schema=schema, training_rows=0)
         row = np.random.default_rng(0).normal(size=schema.total_columns)
-        assert model.predict_proba(row) == 0.5
-        assert model.predict(row) == 1  # tie at 0.5 resolves to class 1
+        assert model.predict_proba_matrix(row).tolist() == [0.5]
 
     def test_naive_bayes_repeated_pattern(self):
         schema = match_like_schema()
@@ -148,7 +160,7 @@ class TestPredictProba:
         data = EncodedDataset(X=X, y=y, schema=schema,
                               row_ids=tuple(map(str, range(200))))
         model = train(make_spec("naive_bayes"), data)
-        assert model.predict_proba(pattern) > 0.9
+        assert model.predict_proba_matrix(pattern)[0] > 0.9
 
     def test_depth_zero_forest_predicts_base_rate(self):
         data = separable_dataset(n=200, seed=5)

@@ -153,9 +153,8 @@ class TestHoldout:
             parameters={"weights": np.zeros(data.schema.total_columns),
                         "bias": 0.0},
             schema=data.schema, training_rows=0)
-        row = data.X[0]
-        assert model.predict_proba(row) == 0.5
-        assert model.predict(row) == 1
+        _, rows = evaluate_holdout(model, data)
+        assert {(prob, pred) for _, prob, pred, _ in rows} == {(0.5, 1)}
 
     def test_schema_mismatch(self):
         from conftest import match_like_schema

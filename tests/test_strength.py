@@ -10,8 +10,8 @@ from cricpred.scoring import REFERENCE_POINTS_MODEL, PointsModel, score_player
 from cricpred.strength import (
     PER_MATCH,
     PER_SEASON,
+    TeamWeightLedger,
     build_ledger,
-    lookup_weights,
     team_weight,
 )
 from cricpred.dataset import MatchRecord, load_matches, load_player_performances
@@ -145,8 +145,8 @@ class TestLedger:
         for m in dataset.matches:
             if m.season != 2017:
                 continue
-            weights = dict(zip((m.home_team, m.away_team),
-                               lookup_weights(ledger, m)))
+            weights = {team: ledger.weight_for(team, m)
+                       for team in (m.home_team, m.away_team)}
             if "CSK" in weights:
                 assert weights["CSK"] == 101.75
             if "RR" in weights:
@@ -157,7 +157,7 @@ class TestLedger:
         players = two_team_players([2018])
         ledger = build_ledger(REFERENCE_POINTS_MODEL, players, dataset,
                               mode=PER_SEASON)
-        assert ledger.entries[("AAA", 2018)] == 100.0
+        assert ledger.entries[("AAA", 2018, "season")] == 100.0
         for m in dataset.matches:
             assert ledger.weight_for("AAA", m) == 100.0
 
@@ -184,16 +184,16 @@ class TestLedger:
                               mode=PER_SEASON)
         stray = MatchRecord("x", 2019, dt.date(2019, 4, 1), "AAA", "BBB",
                             "V", "AAA", "bat", "AAA")
-        with pytest.raises(LedgerMiss, match="AAA"):
-            lookup_weights(ledger, stray)
+        with pytest.raises(LedgerMiss, match="AAA at 2019"):
+            ledger.weight_for("AAA", stray)
 
     def test_symmetric_weights(self):
         dataset = two_team_dataset([(2018, 6)])
         players = two_team_players([2018], sum_a=1400.0, sum_b=1400.0)
         ledger = build_ledger(REFERENCE_POINTS_MODEL, players, dataset,
                               mode=PER_SEASON)
-        w1, w2 = lookup_weights(ledger, dataset.matches[0])
-        assert w1 == w2
+        m = dataset.matches[0]
+        assert ledger.weight_for(m.home_team, m) == ledger.weight_for(m.away_team, m)
 
     def test_per_match_cold_start_previous_season(self):
         dataset = two_team_dataset([(2017, 10), (2018, 10)])
@@ -203,8 +203,8 @@ class TestLedger:
         per_season = build_ledger(REFERENCE_POINTS_MODEL, players, dataset,
                                   mode=PER_SEASON)
         first_2018 = min(m.date for m in dataset.matches if m.season == 2018)
-        assert (ledger.entries[("AAA", first_2018)]
-                == per_season.entries[("AAA", 2017)])
+        assert (ledger.entries[("AAA", 2018, first_2018.isoformat())]
+                == per_season.entries[("AAA", 2017, "season")])
 
     def test_per_match_causality_truncation(self):
         # weight attached to a match is unchanged when every later match is
@@ -219,7 +219,7 @@ class TestLedger:
             part = build_ledger(REFERENCE_POINTS_MODEL, players, truncated,
                                 mode=PER_MATCH)
             for team in (m.home_team, m.away_team):
-                assert part.entries[(team, m.date)] == full.entries[(team, m.date)]
+                assert part.weight_for(team, m) == full.weight_for(team, m)
 
     def test_per_match_weight_steady_while_top_players_cover_k(self):
         # While every top-11 player has at least k appearances, each scores
@@ -242,13 +242,40 @@ class TestLedger:
         rows = ledger.rows()
         assert rows == sorted(rows, key=lambda r: (r[1], r[0], r[2]))
 
+    def test_per_match_date_in_two_seasons(self, tmp_path):
+        """A season that runs into the next year can share a date with the
+        next season. Each season's match on that date reads its own
+        season's weight, the one a build of that season alone gives."""
+        path = tmp_path / "matches.csv"
+        path.write_text(
+            "match_id,season,date,home_team,away_team,venue,toss_winner,"
+            "toss_decision,winner\n"
+            "a,2017,2017-04-01,CSK,RR,V,CSK,bat,CSK\n"
+            "b,2017,2017-04-02,RR,CSK,V,RR,bat,RR\n"
+            "c,2017,2018-01-05,CSK,RR,V,CSK,bat,CSK\n"
+            "d,2018,2018-01-05,RR,CSK,V,RR,bat,RR\n", encoding="utf-8")
+        dataset = load_matches(path)
+        players = [player(f"{team}{season}P{i}", appearances=1 + i % 3,
+                          dot_balls=7 * i + (50 if team == "CSK" else 10),
+                          season=season, team=team)
+                   for season in (2017, 2018) for team in ("CSK", "RR")
+                   for i in range(4)]
+        full = build_ledger(REFERENCE_POINTS_MODEL, players, dataset, mode=PER_MATCH)
+        alone = build_ledger(REFERENCE_POINTS_MODEL, players,
+                             dataset.restrict({2017}), mode=PER_MATCH)
+        assert len(full.entries) == 8
+        for m in dataset.matches[:3]:
+            for team in ("CSK", "RR"):
+                assert full.weight_for(team, m) == alone.weight_for(team, m)
+        restored = TeamWeightLedger.from_dict(full.to_dict())
+        assert restored.entries == full.entries
+
     def test_round_trip_serialization(self):
         dataset = two_team_dataset([(2018, 6)])
         players = two_team_players([2018])
         for mode in (PER_SEASON, PER_MATCH):
             ledger = build_ledger(REFERENCE_POINTS_MODEL, players, dataset,
                                   mode=mode)
-            from cricpred.strength import TeamWeightLedger
             restored = TeamWeightLedger.from_dict(ledger.to_dict())
             assert restored.entries == ledger.entries
             assert restored.mode == ledger.mode
