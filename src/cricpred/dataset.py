@@ -108,16 +108,21 @@ def label_of(match: MatchRecord) -> int:
 def _csv_rows(path, required):
     """(row number, row dict) for each data row of a UTF-8 CSV whose header
     has the required columns; the header is row 1. A row with fewer fields
-    than the header is an ``InvalidRow``; extra fields are ignored."""
+    than the header is an ``InvalidRow``; extra fields are ignored. So is a
+    row, the header included, that the ``csv`` module cannot read: an
+    unterminated quote, text after a closing quote, or a field above the
+    module's size limit."""
+    rownum = 0  # the last row read
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
+            reader = csv.DictReader(fh, strict=True)
             if reader.fieldnames is None:
                 raise MissingColumn(f"{path}: empty file, no header")
             missing = [c for c in required if c not in reader.fieldnames]
             if missing:
                 raise MissingColumn(
                     f"{path}: header lacks column(s) {', '.join(missing)}")
+            rownum = 1
             for rownum, row in enumerate(reader, start=2):
                 if None in row.values():
                     short = [c for c, v in row.items() if v is None]
@@ -126,6 +131,8 @@ def _csv_rows(path, required):
                 yield rownum, row
     except UnicodeDecodeError as exc:
         raise IngestionError(f"{path}: not UTF-8 text ({exc})") from None
+    except csv.Error as exc:
+        raise InvalidRow(f"{path} row {rownum + 1}: malformed CSV: {exc}") from None
 
 
 def _text(row, column, rownum, path):

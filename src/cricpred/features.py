@@ -181,10 +181,8 @@ def encode(dataset: MatchDataset, ledger: TeamWeightLedger,
              "away_team_weight": ledger.weight_for(m.away_team, m)}))
         labels.append(label_of(m))
         ids.append(m.match_id)
-    n = len(rows)
-    X = np.array(rows) if rows else np.zeros((0, schema.total_columns))
-    return EncodedDataset(X=X.reshape(n, schema.total_columns),
-                          y=np.array(labels, dtype=np.int64),
+    X = np.array(rows, dtype=np.float64).reshape(len(rows), schema.total_columns)
+    return EncodedDataset(X=X, y=np.array(labels, dtype=np.int64),
                           schema=schema, row_ids=tuple(ids))
 
 

@@ -376,4 +376,6 @@ def load_document(path) -> ModelDocument:
             doc = json.load(fh)
     except ValueError as exc:  # not JSON, or not UTF-8
         raise CorruptDocument(f"{path}: not valid JSON ({exc})") from None
+    except RecursionError:
+        raise CorruptDocument(f"{path}: JSON nested too deeply to parse") from None
     return deserialize(doc)

@@ -16,12 +16,8 @@ def train_naive_bayes(X, y, hp, seed, binary_mask):
         n_c = rows.shape[0]
         bern = (rows[:, binary_mask].sum(axis=0) + _ALPHA) / (n_c + 2.0 * _ALPHA)
         numeric = rows[:, np.logical_not(binary_mask)]
-        if numeric.shape[1]:
-            mean = numeric.mean(axis=0)
-            var = np.maximum(numeric.var(axis=0), _VAR_FLOOR)
-        else:
-            mean = np.zeros(0)
-            var = np.zeros(0)
+        mean = numeric.mean(axis=0)
+        var = np.maximum(numeric.var(axis=0), _VAR_FLOOR)
         params[f"class_{cls}"] = {
             "prior": n_c / X.shape[0],
             "bernoulli_p": bern,
@@ -37,9 +33,8 @@ def _log_joint(cls_params, Xb, Xn):
     ll = Xb @ np.log(p) + (1.0 - Xb) @ np.log1p(-p)
     mean = cls_params["gauss_mean"]
     var = cls_params["gauss_var"]
-    if mean.size:
-        ll = ll - 0.5 * np.sum(
-            np.log(2.0 * np.pi * var) + (Xn - mean) ** 2 / var, axis=1)
+    ll = ll - 0.5 * np.sum(
+        np.log(2.0 * np.pi * var) + (Xn - mean) ** 2 / var, axis=1)
     return log_prior + ll
 
 

@@ -10,10 +10,6 @@ import numpy as np
 from .dataset import STAT_FIELDS, PlayerPerformance
 from .errors import InsufficientData, RankDeficient
 
-# Condition number of the normal-equation matrix above which we switch to a
-# rank-revealing least-squares solve.
-_COND_LIMIT = 1e8
-
 COEFFICIENT_KEYS = [
     "intercept", "per_wicket", "per_dot_ball", "per_four",
     "per_six", "per_catch", "per_stumping",
@@ -59,9 +55,11 @@ def _design_matrix(performances):
 def fit_points_model(performances) -> PointsModel:
     """Ordinary least squares of official points on the six statistics.
 
-    Solves the normal equations by LU (``np.linalg.solve``); falls back to
-    an SVD-based least-squares solve when the normal-equation matrix is ill
-    conditioned.
+    One SVD-based least-squares solve (``np.linalg.lstsq``) of the design
+    matrix itself, so the fit never squares its condition number as the
+    normal equations would. A design matrix whose numerical rank is below 7
+    (singular values under eps * max(rows, 7) * the largest one count as
+    zero) is ``RankDeficient``.
     """
     usable = [p for p in performances if p.official_points is not None]
     if len(usable) < 7:
@@ -69,14 +67,9 @@ def fit_points_model(performances) -> PointsModel:
             f"need at least 7 rows with official_points, got {len(usable)}")
     X = _design_matrix(usable)
     y = np.array([p.official_points for p in usable], dtype=np.float64)
-    if np.linalg.matrix_rank(X) < 7:
+    beta, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
+    if rank < 7:
         raise RankDeficient(_describe_dependent_column(X))
-    gram = X.T @ X
-    cond = np.linalg.cond(gram)
-    if np.isfinite(cond) and cond <= _COND_LIMIT:
-        beta = np.linalg.solve(gram, X.T @ y)
-    else:
-        beta, *_ = np.linalg.lstsq(X, y, rcond=None)
     return PointsModel(*(float(b) for b in beta))
 
 

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -7,6 +9,7 @@ from cricpred.errors import InvalidHyperparameter, NonConvergence, SingleClassDa
 from cricpred.features import RFE_L2, EncodedDataset, _standardize
 from cricpred.models import (
     ClassifierSpec,
+    deserialize,
     make_spec,
     mlp_loss_and_gradient,
     serialize,
@@ -161,6 +164,19 @@ class TestPredictProba:
                               row_ids=tuple(map(str, range(200))))
         model = train(make_spec("naive_bayes"), data)
         assert model.predict_proba_matrix(pattern)[0] > 0.9
+
+    def test_naive_bayes_without_numeric_columns(self):
+        """Only dummy columns: the Gaussian part has zero width, and its
+        log-likelihood term is 0.0 for every row."""
+        data = fixture_dataset().subset(("home_team", "venue", "toss_decision"))
+        assert not data.schema.numeric_features
+        model = train(make_spec("naive_bayes"), data)
+        doc = serialize(model)
+        digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode("utf-8"))
+        assert digest.hexdigest() == (
+            "b24ab99ab75b8ffcdfea0f392dd74e62bd2a190e4bfd490be33549a4a651ea76")
+        assert np.array_equal(deserialize(doc).model.predict_proba_matrix(data.X),
+                              model.predict_proba_matrix(data.X))
 
     def test_depth_zero_forest_predicts_base_rate(self):
         data = separable_dataset(n=200, seed=5)

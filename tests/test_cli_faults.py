@@ -65,6 +65,25 @@ def washouts(tmp, season):
         + "\n" for line in lines))
 
 
+def all_washouts(tmp):
+    """A copy of the matches CSV in which no match has a winner."""
+    header, *lines = Path(MATCHES).read_text(encoding="utf-8").splitlines()
+    return write(tmp, "all_washouts.csv", "".join(
+        f"{line}\n" for line in [header] + [row.rsplit(",", 1)[0] + "," for row in lines]))
+
+
+def first_row_ends(tmp, text):
+    """A copy of the matches CSV whose first match row ends in ``text``."""
+    header, first, *rest = Path(MATCHES).read_text(encoding="utf-8").splitlines()
+    return write(tmp, "first_row.csv", "".join(
+        f"{line}\n" for line in [header, first + text, *rest]))
+
+
+def nested(tmp):
+    """A JSON text nested deeper than the parser's recursion limit."""
+    return write(tmp, "nested.json", "[" * 100_000 + "]" * 100_000)
+
+
 def binary(tmp):
     path = tmp / "binary.json"
     path.write_bytes(b"\xff\xfe\x00")
@@ -161,6 +180,18 @@ FAULTS = [
     ("ingest-empty-player", 2, False,
      lambda t, m: ["ingest", "--matches", MATCHES,
                    "--players", appended(t, PLAYERS, "2017,CSK,,3,1,1,1,1,1,0,")]),
+    # rows the csv module cannot read -> 2
+    ("ingest-field-over-size-limit", 2, False,
+     lambda t, m: ["ingest", "--matches", appended(
+         t, MATCHES, "x1,2017,2017-05-01,CSK,RR," + "V" * 200_000 + ",CSK,bat,CSK"),
+                   "--players", PLAYERS]),
+    ("ingest-unterminated-quote", 2, False,
+     lambda t, m: ["ingest", "--matches", first_row_ends(t, ',"unterminated'),
+                   "--players", PLAYERS]),
+    ("ingest-text-after-closing-quote", 2, False,
+     lambda t, m: ["ingest", "--matches", appended(
+         t, MATCHES, 'x1,2017,2017-05-01,CSK,RR,"Eden Gardens" ,CSK,bat,CSK'),
+                   "--players", PLAYERS]),
     ("fit-points-official-points-nan", 2, False,
      lambda t, m: ["fit-points", "--matches", MATCHES,
                    "--players", official_points(t, "nan")]),
@@ -228,7 +259,12 @@ FAULTS = [
      lambda t, m: ["train", *DATA, "--holdout-season", "2016", "--out-dir", str(t)]),
     ("cv-k-1", 3, False,
      lambda t, m: ["cv", *DATA, "--kind", "naive_bayes", "--k", "1", "--out-dir", str(t)]),
+    ("train-every-match-a-washout", 3, False,
+     lambda t, m: ["train", "--matches", all_washouts(t), "--players", PLAYERS,
+                   "--out-dir", str(t)]),
     ("predict-truncated-document", 3, False, lambda t, m: predict(truncated(t, m))),
+    ("predict-document-nested-too-deeply", 3, False, lambda t, m: predict(nested(t))),
+    ("report-document-nested-too-deeply", 3, False, lambda t, m: report(t, nested(t))),
     ("predict-binary-document", 3, False, lambda t, m: predict(binary(t))),
     ("predict-format-version-0", 3, False,
      lambda t, m: predict(edited(t, m, lambda d: d.update(format_version=0)))),

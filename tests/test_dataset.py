@@ -94,6 +94,32 @@ class TestLoadMatches:
                      "m1,2018,2018-04-07,CSK,RR,Venue,CSK,bat,CSK,someone\n")
         assert len(ds.load_matches(path).matches) == 1
 
+    def test_quotes(self, tmp_path):
+        """A quoted field may hold the delimiter, and a quote inside an
+        unquoted field is a literal character."""
+        path = write(tmp_path / "m.csv", MATCH_HEADER + "\n"
+                     'm1,2018,2018-04-07,CSK,RR,"Eden Gardens, Kolkata",CSK,bat,CSK\n'
+                     'm2,2018,2018-04-08,CSK,RR,Lord"s,CSK,bat,CSK\n')
+        venues = [m.venue for m in ds.load_matches(path).matches]
+        assert venues == ["Eden Gardens, Kolkata", 'Lord"s']
+
+    @pytest.mark.parametrize("venue, message", [
+        ('"Eden Gardens" ', "',' expected after '\"'"),
+        ('"Eden Gardens', "unexpected end of data"),
+        ("V" * 200_000, "field larger than field limit")],
+        ids=["text-after-closing-quote", "unterminated-quote", "field-over-size-limit"])
+    def test_malformed_csv_row(self, tmp_path, venue, message):
+        path = write(tmp_path / "m.csv", MATCH_HEADER + "\n"
+                     "m1,2018,2018-04-07,CSK,RR,Venue,CSK,bat,CSK\n"
+                     f"m2,2018,2018-04-08,CSK,RR,{venue},CSK,bat,CSK\n")
+        with pytest.raises(InvalidRow, match=f"m.csv row 3: malformed CSV: {message}"):
+            ds.load_matches(path)
+
+    def test_malformed_csv_header(self, tmp_path):
+        path = write(tmp_path / "m.csv", MATCH_HEADER + ',"umpire\n')
+        with pytest.raises(InvalidRow, match="m.csv row 1: malformed CSV"):
+            ds.load_matches(path)
+
     def test_no_result_retained_and_flagged(self, tmp_path):
         path = write(tmp_path / "m.csv", MATCH_HEADER + "\n"
                      "m1,2018,2018-04-07,CSK,RR,Venue,CSK,bat,\n")

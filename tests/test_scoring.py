@@ -70,6 +70,19 @@ class TestFit:
         b = fit_points_model(players)
         assert a == b
 
+    def test_ill_conditioned_full_rank_recovery(self):
+        """Dot balls scaled by 10,000: the design matrix keeps full rank,
+        but cond(X^T X) is about 5.5e12, the square of cond(X)."""
+        players = []
+        for p in synthetic_players(200, seed=5):
+            scaled = PlayerPerformance(**{**p.__dict__, "dot_balls": p.dot_balls * 10_000})
+            players.append(PlayerPerformance(**{
+                **scaled.__dict__,
+                "official_points": score_player(REFERENCE_POINTS_MODEL, scaled)}))
+        fitted = fit_points_model(players)
+        assert np.allclose(fitted.coefficients(),
+                           REFERENCE_POINTS_MODEL.coefficients(), rtol=0, atol=1e-8)
+
 
 class TestScore:
     def perf(self, **stats):
