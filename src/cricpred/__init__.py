@@ -26,7 +26,6 @@ from .scoring import (  # noqa: F401
     REFERENCE_POINTS_MODEL,
     PointsModel,
     fit_points_model,
-    residual_report,
     score_player,
 )
 from .strength import (  # noqa: F401

@@ -114,7 +114,8 @@ def _csv_rows(path, required):
     module's size limit."""
     rownum = 0  # the last row read
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        # utf-8-sig drops the byte-order mark a spreadsheet may write first
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.DictReader(fh, strict=True)
             if reader.fieldnames is None:
                 raise MissingColumn(f"{path}: empty file, no header")

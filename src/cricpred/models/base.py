@@ -26,7 +26,7 @@ from ..scoring import COEFFICIENT_KEYS, PointsModel
 from ..strength import TeamWeightLedger
 from . import ensemble, linear, mlp, naive_bayes, tree
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 LABEL_CONVENTION = "1=home_team_win"
 
 
@@ -132,10 +132,11 @@ def _numbers(value, name, shape=()):
     return float(array) if shape == () else array
 
 
-# How a document stores each node-table array: the base64 of its
-# little-endian bytes, node indices and columns in 4 bytes.
-WIRE_DTYPES = {"roots": "<i4", "feature": "<i4", "threshold": "<f8",
-               "left": "<i4", "right": "<i4", "value": "<f8"}
+# How a document stores a node table: four arrays, each the base64 of its
+# little-endian bytes. ``left`` is implied, as a preorder table puts an
+# internal node's left child right after it; ``right == i`` marks a leaf,
+# and a leaf's ``threshold`` holds its value.
+WIRE_DTYPES = {"roots": "<i4", "feature": "<i2", "threshold": "<f8", "right": "<i4"}
 
 
 def _encode_array(array, key):
@@ -211,9 +212,58 @@ def _load_mlp(parameters, schema):
         for i, ((W, b), fan_in, fan_out) in enumerate(zip(layers, sizes, sizes[1:]))]}
 
 
+def _node_table(stored):
+    """The arrays of ``tree.TABLE_KEYS`` from the four a document stores."""
+    roots, feature, threshold, right = (stored[k] for k in WIRE_DTYPES)
+    node = np.arange(right.size)
+    leaf = right == node
+    return {"roots": roots, "feature": feature,
+            "threshold": np.where(leaf, 0.0, threshold),
+            "left": np.where(leaf, node, node + 1), "right": right,
+            "value": np.where(leaf, threshold, 0.0)}
+
+
+def _stored_table(table):
+    """The four arrays a document stores of the node ``table``. Raises
+    ModelError unless ``_node_table`` gives the table back: an internal
+    node's left child is the next node and its value 0, and a leaf's
+    feature and threshold are 0."""
+    leaf = table["right"] == np.arange(table["right"].size)
+    stored = {"roots": table["roots"], "feature": np.where(leaf, 0, table["feature"]),
+              "threshold": np.where(leaf, table["value"], table["threshold"]),
+              "right": table["right"]}
+    for key, array in _node_table(stored).items():
+        differs = array != table[key]
+        if differs.any():
+            raise ModelError(f"node {int(differs.argmax())}'s {key} is not what a "
+                             "document can store: an internal node needs its left "
+                             "child next and value 0, a leaf feature and threshold 0")
+    return stored
+
+
 def _load_table(parameters, schema):
-    table = {key: _decode_array(parameters[key], key) for key in tree.TABLE_KEYS}
+    """The node table stored in ``parameters``. Raises ValueError unless
+    its node arrays are of one length, it passes ``tree.check_table``,
+    every leaf's feature is 0 and the trees hold one more leaf than
+    internal nodes each; ``left`` being implied, the last is what finds an
+    internal node whose ``right`` was set to itself."""
+    stored = {key: _decode_array(parameters[key], key) for key in WIRE_DTYPES}
+    sizes = {key: stored[key].size for key in ("feature", "threshold", "right")}
+    if len(set(sizes.values())) > 1:
+        raise ValueError("node table arrays differ in length: " + ", ".join(
+            f"{key} {size}" for key, size in sizes.items()))
+    table = _node_table(stored)
     tree.check_table(table, schema.total_columns)
+    leaf = table["right"] == np.arange(table["right"].size)
+    bad = leaf & (table["feature"] != 0)
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(f"leaf {i} reads column {table['feature'][i]}; a leaf's "
+                         "feature is 0")
+    leaves, trees = int(leaf.sum()), table["roots"].size
+    if 2 * leaves != leaf.size + trees:
+        raise ValueError(f"{trees} trees hold {leaf.size - leaves} internal nodes and "
+                         f"{leaves} leaves, not one more leaf than internal nodes each")
     return table
 
 
@@ -222,7 +272,7 @@ def _load_random_forest(parameters, schema):
     outside = (table["value"] < 0.0) | (table["value"] > 1.0)
     if outside.any():
         i = int(outside.argmax())
-        raise ValueError(f"node {i} holds value {table['value'][i]}; a forest's "
+        raise ValueError(f"leaf {i} holds value {table['value'][i]}; a forest's "
                          "values are class-1 proportions, from 0 to 1")
     return table
 
@@ -309,6 +359,16 @@ class ModelDocument:
     ledger: TeamWeightLedger | None = None
 
 
+def _document_parameters(parameters):
+    """``parameters`` as JSON values, a node table as the base64 strings of
+    its four stored arrays."""
+    plain = {k: _plain(v) for k, v in parameters.items() if k not in tree.TABLE_KEYS}
+    if "roots" in parameters:
+        plain.update((k, _encode_array(v, k))
+                     for k, v in _stored_table(parameters).items())
+    return plain
+
+
 def serialize(model: TrainedClassifier, points_model: PointsModel | None = None,
               ledger: TeamWeightLedger | None = None) -> dict:
     return {
@@ -320,8 +380,7 @@ def serialize(model: TrainedClassifier, points_model: PointsModel | None = None,
         "training_rows": model.training_rows,
         "points_model": points_model.to_dict() if points_model else None,
         "team_weights": ledger.to_dict() if ledger else None,
-        "parameters": {k: _encode_array(v, k) if k in WIRE_DTYPES else _plain(v)
-                       for k, v in model.parameters.items()},
+        "parameters": _document_parameters(model.parameters),
     }
 
 
@@ -372,8 +431,9 @@ def save_document(doc: dict, path):
 
 def load_document(path) -> ModelDocument:
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        # one decode of the whole file: a text-mode read decodes it in chunks
+        with open(path, "rb") as fh:
+            doc = json.loads(fh.read().decode("utf-8"))
     except ValueError as exc:  # not JSON, or not UTF-8
         raise CorruptDocument(f"{path}: not valid JSON ({exc})") from None
     except RecursionError:

@@ -25,9 +25,11 @@ places them once the last level is grown (``_preorder``). A row goes to
 ``left`` and ``right`` are its own index, and its ``feature`` and
 ``threshold`` are 0, so ``tree_predict_matrix`` moves every (tree, row)
 pair down one level per step until none moves. The arrays are int64 and
-float64 (``TABLE_DTYPES``); a model document stores each as the base64
-of its little-endian bytes, node indices and columns as 4-byte integers,
-and loading gives back these dtypes (``models/base.py``).
+float64 (``TABLE_DTYPES``). A model document stores four of them, as the
+base64 of their little-endian bytes: ``roots``, ``feature``,
+``threshold`` and ``right``, a leaf's ``threshold`` holding its value; a
+preorder table implies ``left``, and loading rebuilds all six in these
+dtypes (``models/base.py``).
 
 The split kernels score many nodes in one call, their rows node after
 node and ``sizes`` holding each node's row count. Every score is

@@ -92,24 +92,3 @@ def score_player(model: PointsModel, perf: PlayerPerformance) -> float:
             + model.per_catch * perf.catches
             + model.per_stumping * perf.stumpings)
 
-
-@dataclass(frozen=True)
-class ResidualReport:
-    residuals: tuple  # of (player, season, team, residual)
-    rmse: float
-
-
-def residual_report(model: PointsModel, performances) -> ResidualReport:
-    """Per-player residual (official minus predicted) and overall RMSE."""
-    if not performances:
-        raise InsufficientData("no performances to report on")
-    rows = []
-    total = 0.0
-    for perf in performances:
-        if perf.official_points is None:
-            raise InsufficientData(
-                f"player {perf.player!r} ({perf.team} {perf.season}) lacks official_points")
-        resid = perf.official_points - score_player(model, perf)
-        total += resid * resid
-        rows.append((perf.player, perf.season, perf.team, resid))
-    return ResidualReport(residuals=tuple(rows), rmse=math.sqrt(total / len(rows)))

@@ -99,6 +99,7 @@ class TeamWeightLedger:
         ``as_of`` is not read."""
         import datetime as dt
         entries = {}
+        dates = {}  # as_of -> its canonical ISO string, parsed once per load
         mode = doc["mode"]
         if mode not in (PER_SEASON, PER_MATCH):
             raise ValueError(f"unknown ledger mode {mode!r}")
@@ -110,8 +111,13 @@ class TeamWeightLedger:
             if type(weight) not in (int, float) or not math.isfinite(weight):
                 raise ValueError(f"team {team!r} has weight {weight!r}, "
                                  "not a finite number")
-            as_of = ("season" if mode == PER_SEASON
-                     else dt.date.fromisoformat(row["as_of"]).isoformat())
+            as_of = "season"
+            if mode == PER_MATCH:
+                raw = row["as_of"]
+                # fromisoformat raises on a non-string before it is a key
+                if type(raw) is not str or raw not in dates:
+                    dates[raw] = dt.date.fromisoformat(raw).isoformat()
+                as_of = dates[raw]
             key = (team, season, as_of)
             if key in entries:
                 raise ValueError(f"the ledger holds team {team!r} at "

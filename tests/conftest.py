@@ -14,13 +14,13 @@ def fixture_path(name):
     return str(importlib.resources.files("cricpred.fixtures") / name)
 
 
-# How a format_version 3 document stores each node-table array: the base64
-# of its bytes in this dtype.
-TABLE_WIRE = {"roots": "<i4", "feature": "<i4", "threshold": "<f8",
-              "left": "<i4", "right": "<i4", "value": "<f8"}
+# How a format_version 4 document stores a node table: four arrays, each
+# the base64 of its bytes in this dtype. ``left`` is implied, and a leaf
+# (``right`` is itself) keeps its value in ``threshold``.
+TABLE_WIRE = {"roots": "<i4", "feature": "<i2", "threshold": "<f8", "right": "<i4"}
 
 
-def table_lists(parameters):
+def stored_lists(parameters):
     """Turn the node-table arrays stored in a document's ``parameters``
     into JSON lists, in place; other parameters are left alone."""
     for key, dtype in TABLE_WIRE.items():
@@ -29,12 +29,28 @@ def table_lists(parameters):
             parameters[key] = np.frombuffer(raw, dtype).tolist()
 
 
-def table_strings(parameters):
-    """The inverse of ``table_lists``: store the lists again, in place."""
+def stored_strings(parameters):
+    """The inverse of ``stored_lists``: store the lists again, in place."""
     for key, dtype in TABLE_WIRE.items():
         if key in parameters:
             raw = np.asarray(parameters[key], dtype=dtype).tobytes()
             parameters[key] = base64.b64encode(raw).decode("ascii")
+
+
+def table_lists(parameters):
+    """Turn the node table stored in a document's ``parameters`` into the
+    six JSON lists of a format_version 2 table, in place: an internal
+    node's ``left`` is the next node and its ``value`` 0.0, and a leaf's
+    ``left`` is itself, its ``value`` the stored threshold and its
+    ``threshold`` 0.0. Other parameters are left alone."""
+    stored_lists(parameters)
+    if "right" in parameters:
+        leaf = [child == i for i, child in enumerate(parameters["right"])]
+        threshold = parameters["threshold"]
+        parameters["left"] = [i if is_leaf else i + 1 for i, is_leaf in enumerate(leaf)]
+        parameters["value"] = [t if is_leaf else 0.0 for t, is_leaf in zip(threshold, leaf)]
+        parameters["threshold"] = [0.0 if is_leaf else t
+                                   for t, is_leaf in zip(threshold, leaf)]
 
 
 def fixture_dataset(mode=PER_SEASON):

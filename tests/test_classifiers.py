@@ -174,7 +174,7 @@ class TestPredictProba:
         doc = serialize(model)
         digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode("utf-8"))
         assert digest.hexdigest() == (
-            "b24ab99ab75b8ffcdfea0f392dd74e62bd2a190e4bfd490be33549a4a651ea76")
+            "d6a8ac91bce11e8b66538a5c092ccfd7881ab05f77ac81a271106b47748677e9")
         assert np.array_equal(deserialize(doc).model.predict_proba_matrix(data.X),
                               model.predict_proba_matrix(data.X))
 

@@ -17,7 +17,7 @@ from cricpred import errors
 from cricpred.cli import main
 from cricpred.models import KINDS
 
-from conftest import fixture_path, table_lists, table_strings
+from conftest import fixture_path, stored_lists, stored_strings, table_lists
 
 MATCHES = fixture_path("matches.csv")
 PLAYERS = fixture_path("players.csv")
@@ -268,12 +268,14 @@ FAULTS = [
     ("predict-binary-document", 3, False, lambda t, m: predict(binary(t))),
     ("predict-format-version-0", 3, False,
      lambda t, m: predict(edited(t, m, lambda d: d.update(format_version=0)))),
-    # documents of versions 1 and 2: a logistic_regression document
+    # documents of versions 1 to 3: a logistic_regression document
     # differs from them only in format_version
     ("predict-format-version-1", 3, False,
      lambda t, m: predict(edited(t, m, lambda d: d.update(format_version=1)))),
     ("predict-format-version-2", 3, False,
      lambda t, m: predict(edited(t, m, lambda d: d.update(format_version=2)))),
+    ("predict-format-version-3", 3, False,
+     lambda t, m: predict(edited(t, m, lambda d: d.update(format_version=3)))),
     ("report-format-version-1", 3, False,
      lambda t, m: report(t, edited(t, m, lambda d: d.update(format_version=1)))),
     ("predict-emptied-parameters", 3, False,
@@ -308,36 +310,60 @@ def test_fault_exit_code(capsys, tmp_path, model, code, usage, argv):
 
 def internal(p):
     """The internal nodes of a node table, in preorder."""
-    return [i for i, child in enumerate(p["left"]) if child != i]
+    return [i for i, child in enumerate(p["right"]) if child != i]
+
+
+def leaves(p):
+    """The leaves of a node table, in preorder."""
+    return [i for i, child in enumerate(p["right"]) if child == i]
 
 
 def on_lists(edit):
-    """``edit`` of a node table's arrays as JSON lists: the document's
-    stored arrays are decoded first and stored again after."""
+    """``edit`` of a node table's four stored arrays as JSON lists: they
+    are decoded first and stored again after."""
     @functools.wraps(edit)
     def stored(p, *args):
-        table_lists(p)
+        stored_lists(p)
         edit(p, *args)
-        table_strings(p)
+        stored_strings(p)
     return stored
 
 
 @on_lists
 def child_out_of_range(p):
-    p["right"][internal(p)[0]] = len(p["value"])
+    p["right"][internal(p)[0]] = len(p["right"])
 
 
 @on_lists
 def cycle(p):
-    """An internal left child points back at its parent."""
+    """An internal right child points back at its parent: a right child
+    before its node."""
     inner = internal(p)
-    parent = next(i for i in inner if p["left"][i] in inner)
-    p["left"][p["left"][parent]] = parent
+    parent = next(i for i in inner if p["right"][i] in inner)
+    p["right"][p["right"][parent]] = parent
+
+
+@on_lists
+def right_at_own_node(p):
+    """An internal node's right child is itself and its feature 0, as a
+    leaf's are: its subtrees are left without a parent."""
+    i = internal(p)[0]
+    p["right"][i], p["feature"][i] = i, 0
 
 
 @on_lists
 def feature_out_of_range(p):
     p["feature"][internal(p)[0]] = 99
+
+
+@on_lists
+def feature_negative(p):
+    p["feature"][internal(p)[0]] = -1
+
+
+@on_lists
+def leaf_feature_set(p):
+    p["feature"][leaves(p)[0]] = 1
 
 
 @on_lists
@@ -347,8 +373,7 @@ def unequal_lengths(p):
 
 @on_lists
 def leaf_value_nan(p):
-    leaf = next(i for i, child in enumerate(p["left"]) if child == i)
-    p["value"][leaf] = float("nan")
+    p["threshold"][leaves(p)[0]] = float("nan")
 
 
 @on_lists
@@ -368,21 +393,23 @@ def ragged_byte_length(p):
 
 def version_2_table(p):
     """JSON lists where base64 strings belong: a version 2 table under a
-    version 3 header."""
+    version 4 header."""
     table_lists(p)
 
 
 @on_lists
 def set_leaves(p, value):
-    """Every leaf with a nonzero value gets ``value``."""
-    for i, child in enumerate(p["left"]):
-        if child == i and p["value"][i] != 0.0:
-            p["value"][i] = value
+    """Every leaf with a nonzero value gets ``value``; a leaf's value is
+    its stored threshold."""
+    for i in leaves(p):
+        if p["threshold"][i] != 0.0:
+            p["threshold"][i] = value
 
 
-TABLE_FAULTS = [child_out_of_range, cycle, feature_out_of_range, unequal_lengths,
-                leaf_value_nan, threshold_nan, invalid_base64_character,
-                ragged_byte_length, version_2_table]
+TABLE_FAULTS = [child_out_of_range, cycle, right_at_own_node, feature_out_of_range,
+                feature_negative, leaf_feature_set, unequal_lengths, leaf_value_nan,
+                threshold_nan, invalid_base64_character, ragged_byte_length,
+                version_2_table]
 
 
 @pytest.mark.parametrize("command", ["predict", "report"])

@@ -1,6 +1,7 @@
 import csv
 import datetime as dt
 import random
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,8 @@ from cricpred.errors import (
     NoResult,
     UnknownTeam,
 )
+
+from conftest import fixture_path
 
 MATCH_HEADER = ",".join(ds.MATCH_COLUMNS)
 PLAYER_HEADER = ",".join(ds.PLAYER_COLUMNS)
@@ -241,3 +244,15 @@ class TestLabel:
     def test_label_iff_home_win(self, matches_csv):
         for m in ds.load_matches(matches_csv).decisive():
             assert (ds.label_of(m) == 1) == (m.winner == m.home_team)
+
+
+@pytest.mark.parametrize("loader, name", [
+    (ds.load_matches, "matches.csv"),
+    (ds.load_player_performances, "players.csv")])
+def test_byte_order_mark(tmp_path, loader, name):
+    """A file that starts with a UTF-8 byte-order mark, as spreadsheet
+    programs write "CSV UTF-8", reads like one without it."""
+    plain = fixture_path(name)
+    marked = tmp_path / name
+    marked.write_bytes(b"\xef\xbb\xbf" + Path(plain).read_bytes())
+    assert loader(str(marked)) == loader(plain)

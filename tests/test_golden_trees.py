@@ -1,13 +1,14 @@
 """Golden digests of model documents, at least one for each kind.
 
-Each model is pinned twice. ``GOLDEN_V3`` holds the digest of the
-format_version 3 document ``serialize`` writes, where a tree ensemble's
-node table is stored as base64 strings of little-endian bytes (``<i4``
-node indices and columns, ``<f8`` thresholds and leaf values).
-``GOLDEN`` holds the digest of the same document written as
-format_version 2, with the table as JSON lists (``as_v2``); those ten
-digests were recorded before version 3 existed and are unchanged, so
-every tree and every weight is bit-identical across the version bump.
+Each model is pinned twice. ``GOLDEN_V4`` holds the digest of the
+format_version 4 document ``serialize`` writes, where a tree ensemble's
+node table is stored as four base64 strings of little-endian bytes:
+``<i4`` roots and right children, ``<i2`` columns and ``<f8`` thresholds,
+a leaf's threshold holding its value. ``GOLDEN`` holds the digest of the
+same document written as format_version 2, with the table as the six
+JSON lists it had then (``as_v2``); those ten digests were recorded
+before versions 3 and 4 existed and are unchanged, so every tree and
+every weight is bit-identical across both version bumps.
 
 The tree-ensemble digests pin the trees, saved as one preorder node
 table: any change to the tree learner, the split kernels or the boosting
@@ -67,27 +68,27 @@ GOLDEN = {
 }
 
 # the same, for the format_version 3 document
-GOLDEN_V3 = {
+GOLDEN_V4 = {
     ("fixture", "random_forest", ()):
-        "9192b9b1e003bdffc5d011761a9cd4922d94a8415b86b8e8acc418c978cc603f",
+        "a329620ee1df9cfef3dc5a86faa1ceadcc1c472c37fc12c8f3c79794fce43ec9",
     ("fixture", "random_forest", SMALL_FOREST):
-        "3fcbfaca61e36a564043d01e8c2be4f9a02b72ad7a185cc403e2caa74d6b7acd",
+        "eb97a123271fd888ebed977535b047c0779877777683ed4ff6f30ec0244cc2b1",
     ("fixture", "gradient_boosting", ()):
-        "da41e557e06e54ddbc5aa0fdc726d0f58755793aae57003ee2e9a55b91b41564",
+        "105b322464f3b19fe54f1a53de04aa4dd5588655396f7543df4a07977fd4fd66",
     ("separable", "random_forest", SMALL_FOREST):
-        "0e2c19210abd6d59572a05626e3ba38db8f5e0627d8b9bb03365e9ad81b65b53",
+        "e9762883da665efb67a6ebb342494948904f034ae49cbfb3adee465e07190e9d",
     ("separable", "gradient_boosting", (("n_rounds", 30),)):
-        "8f6e36500cbc114dfbc0750438825e79ecb2210b9bf0672485da54448707714e",
+        "ff1577298000bb5ecf0470cbb40bae1bedab65b7bdc43f747f079e04cfa7f7c8",
     ("fixture", "mlp", ()):
-        "21bc5b30fa6a166f07650254422a4c926d53e648258d1322723945790fef4d1c",
+        "59347cf3f6a88291a1bcf696d376160d1527f90a862b7548bc3427824ab65b97",
     ("separable", "mlp", (("epochs", 40),)):
-        "503184f316d0e8f97cb5107bfc84d531500050b0098e41d08763a0c141f3647c",
+        "b4297cf00bdebdd130395d73ad9a0f367d50570e346a15015675127ee7822bae",
     ("fixture", "linear_svm", ()):
-        "2beb47b78f255cf23ad6cfaf9d1da21d721cbc9df2c85b276cab6409f7723fd2",
+        "1238ad0691482f500f5aa78d3960ae5f9ca07ce04a8991e8de584b53178fe4d5",
     ("fixture", "logistic_regression", ()):
-        "8245d72200eb48833025c02c3902f3f6de63141a6d0fb88c6892fdb40b315f52",
+        "e9d226b5b40c3c53de277df2ed97f2ab8088f897f5df219ab18316ca62c5d255",
     ("fixture", "naive_bayes", ()):
-        "9c916127de78a1b45c8823c0766175926be8096557f934a4f9d0e5218213cb35",
+        "84fe98d25373be7f21325f6c08ff3f232150cc4b26309c0d28dea70dd7031e56",
 }
 
 
@@ -102,7 +103,7 @@ DATASETS = {
 def test_document_digest(source, kind, extra):
     model = train(make_spec(kind, seed=0, **dict(extra)), DATASETS[source]())
     doc = serialize(model)
-    assert digest(doc) == GOLDEN_V3[(source, kind, extra)]
+    assert digest(doc) == GOLDEN_V4[(source, kind, extra)]
     assert digest(as_v2(doc)) == GOLDEN[(source, kind, extra)]
 
 
@@ -112,7 +113,7 @@ def digest(doc):
 
 def as_v2(doc):
     """``doc`` as the format_version 2 document of the same model: node
-    tables as JSON lists of their values. Edits ``doc`` in place."""
+    tables as the six JSON lists of their values. Edits ``doc`` in place."""
     table_lists(doc["parameters"])
     doc["format_version"] = 2
     return doc

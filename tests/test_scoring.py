@@ -7,7 +7,6 @@ from cricpred.scoring import (
     REFERENCE_POINTS_MODEL,
     PointsModel,
     fit_points_model,
-    residual_report,
     score_player,
 )
 
@@ -115,38 +114,6 @@ class TestScore:
             parts = (score_player(model, self.perf(**a))
                      + score_player(model, self.perf(**b)) - model.intercept)
             assert total == pytest.approx(parts, rel=1e-12)
-
-
-class TestResiduals:
-    def test_noiseless_rmse_zero(self):
-        report = residual_report(REFERENCE_POINTS_MODEL, synthetic_players(50))
-        assert report.rmse == pytest.approx(0.0, abs=1e-9)
-
-    def test_single_player(self):
-        perf = PlayerPerformance(season=2018, team="CSK", player="P",
-                                 appearances=2, wickets=0, dot_balls=8,
-                                 fours=0, sixes=0, catches=0, stumpings=0,
-                                 official_points=10.0)
-        report = residual_report(REFERENCE_POINTS_MODEL, [perf])
-        assert report.residuals[0][3] == pytest.approx(2.0)
-        assert report.rmse == pytest.approx(2.0)
-
-    def test_perturbed_wicket_weight(self):
-        players = []
-        for i, p in enumerate(synthetic_players(20, seed=2)):
-            players.append(PlayerPerformance(**{**p.__dict__, "wickets": 1,
-                                                "player": f"W{i}"}))
-        players = [PlayerPerformance(**{
-            **p.__dict__,
-            "official_points": score_player(REFERENCE_POINTS_MODEL, p)})
-            for p in players]
-        bumped = PointsModel(0.0, 4.5, 1.0, 2.5, 3.5, 2.5, 2.5)
-        report = residual_report(bumped, players)
-        assert all(r[3] == pytest.approx(-1.0) for r in report.residuals)
-
-    def test_empty_list(self):
-        with pytest.raises(InsufficientData):
-            residual_report(REFERENCE_POINTS_MODEL, [])
 
 
 class TestOlsProperties:

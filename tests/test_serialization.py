@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -113,9 +114,30 @@ class TestRejections:
 
     def test_node_index_beyond_four_bytes(self):
         """A node index that a 4-byte integer would wrap is refused."""
-        with pytest.raises(ModelError, match="left"):
-            _encode_array(np.array([0, 2**31]), "left")
-        assert _encode_array(np.array([0, 2**31 - 1]), "left") == "AAAAAP///38="
+        with pytest.raises(ModelError, match="right"):
+            _encode_array(np.array([0, 2**31]), "right")
+        assert _encode_array(np.array([0, 2**31 - 1]), "right") == "AAAAAP///38="
+
+    def test_column_beyond_two_bytes(self):
+        """A column index that a 2-byte integer would wrap is refused."""
+        with pytest.raises(ModelError, match="feature"):
+            _encode_array(np.array([0, 32768]), "feature")
+        assert _encode_array(np.array([0, 32767]), "feature") == "AAD/fw=="
+
+    @pytest.mark.parametrize("key, at_leaf", [
+        ("left", False), ("feature", True), ("threshold", True), ("value", False)])
+    def test_table_a_document_cannot_store(self, key, at_leaf):
+        """A node table whose dropped facts are not the ones a document
+        implies is refused, not stored without them: an internal node's
+        left child other than the next node or its value other than 0, a
+        leaf's feature or threshold other than 0."""
+        model = train(small_spec("random_forest"), separable_dataset(n=120, seed=0))
+        table = {k: v.copy() for k, v in model.parameters.items()}
+        leaf = table["right"] == np.arange(table["right"].size)
+        i = int(np.flatnonzero(leaf == at_leaf)[0])
+        table[key][i] += 2
+        with pytest.raises(ModelError, match=f"node {i}'s {key} "):
+            serialize(dataclasses.replace(model, parameters=table))
 
     def test_wrong_width_rows(self):
         doc, data = self.make_doc()
