@@ -25,7 +25,7 @@ from pathlib import Path
 from . import errors
 from .dataset import load_matches, load_player_performances
 from .evaluation import cross_validate, evaluate_holdout
-from .features import build_schema, encode, encode_values, rfe_select
+from .features import build_schema, encode, encode_values, rank_features, rfe_select
 from .models import base as model_base
 from .scoring import REFERENCE_POINTS_MODEL, fit_points_model
 from .strength import PER_MATCH, PER_SEASON, build_ledger
@@ -180,11 +180,10 @@ def cmd_train(args):
     training = dataset.restrict(_training_seasons(dataset, args.holdout_season))
     encoded, points, ledger, origin = _encoded_dataset(args, training, players)
     if args.target_count is not None:
-        # only the selection is used, so no bootstrap stability runs
-        result = rfe_select(encoded, args.target_count, resamples=0,
-                            seed=args.seed)
-        encoded = encoded.subset(result.selected)
-        print(f"RFE selected: {', '.join(result.selected)}")
+        # the ranking alone: select-features prints the subset scores
+        selected = rank_features(encoded, args.target_count)[:args.target_count]
+        encoded = encoded.subset(selected)
+        print(f"RFE selected: {', '.join(selected)}")
     kinds = model_base.KINDS if args.kind == "all" else [args.kind]
     for kind in kinds:
         spec = model_base.make_spec(kind, seed=args.seed)

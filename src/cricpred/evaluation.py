@@ -31,45 +31,40 @@ class EvalReport:
     zero_division_flags: tuple = field(default=())
 
 
-def _safe_div(num, den):
-    return num / den if den else 0.0
-
-
-def report_from_predictions(y_true, y_pred, per_fold=()) -> EvalReport:
-    y_true = np.asarray(y_true, dtype=np.int64)
-    y_pred = np.asarray(y_pred, dtype=np.int64)
-    n = len(y_true)
-    confusion = [[0, 0], [0, 0]]
-    for actual, pred in zip(y_true, y_pred):
-        confusion[actual][pred] += 1
-    correct = confusion[0][0] + confusion[1][1]
-    per_class = {}
-    flags = []
-    for cls in (0, 1):
-        tp = confusion[cls][cls]
-        support = confusion[cls][0] + confusion[cls][1]
-        predicted = confusion[0][cls] + confusion[1][cls]
-        if predicted == 0:
-            flags.append(f"precision[{cls}] undefined (no predictions), reported 0")
-        if support == 0:
-            flags.append(f"recall[{cls}] undefined (no support), reported 0")
-        precision = _safe_div(tp, predicted)
-        recall = _safe_div(tp, support)
-        f1 = _safe_div(2 * precision * recall, precision + recall)
-        per_class[cls] = ClassMetrics(precision, recall, f1, support)
-    weighted = ClassMetrics(
-        precision=_safe_div(sum(per_class[c].precision * per_class[c].support
-                                for c in (0, 1)), n),
-        recall=_safe_div(sum(per_class[c].recall * per_class[c].support
-                             for c in (0, 1)), n),
-        f1=_safe_div(sum(per_class[c].f1 * per_class[c].support
-                         for c in (0, 1)), n),
-        support=n)
+def report_from_predictions(y_true, p, fold=None) -> EvalReport:
+    """Metrics of predicting class 1 wherever ``p >= 0.5``, so a probability
+    of exactly 0.5 predicts class 1; 0/1 labels are probabilities too. With
+    ``fold``, each row's fold number, the report also holds each fold's
+    accuracy in fold order. A ratio over zero is reported as 0 and flagged."""
+    y = np.asarray(y_true, dtype=np.int64)
+    pred = (np.asarray(p) >= 0.5).astype(np.int64)
+    n = len(y)
+    confusion = np.bincount(2 * y + pred, minlength=4).reshape(2, 2)
+    tp = confusion.diagonal()
+    support, predicted = confusion.sum(axis=1), confusion.sum(axis=0)
+    flags = [f"{name}[{cls}] undefined ({why}), reported 0"
+             for cls in (0, 1)
+             for name, why, den in (("precision", "no predictions", predicted),
+                                    ("recall", "no support", support))
+             if den[cls] == 0]
+    with np.errstate(invalid="ignore"):  # 0/0 is nan, reported as 0
+        precision = np.nan_to_num(tp / predicted)
+        recall = np.nan_to_num(tp / support)
+        f1 = np.nan_to_num(2 * precision * recall / (precision + recall))
+        # summed in class order: a dot product may round differently
+        weighted = np.nan_to_num([(m * support).sum() / n
+                                  for m in (precision, recall, f1)])
+        accuracy = float(np.nan_to_num(tp.sum() / n))
+    per_fold = () if fold is None else tuple(
+        (np.bincount(fold, weights=pred == y) / np.bincount(fold)).tolist())
     return EvalReport(
-        n_evaluated=n, correct=correct, accuracy=_safe_div(correct, n),
-        per_class=per_class, weighted_avg=weighted,
-        confusion=tuple(tuple(r) for r in confusion),
-        per_fold=tuple(per_fold), zero_division_flags=tuple(flags))
+        n_evaluated=n, correct=int(tp.sum()), accuracy=accuracy,
+        per_class={cls: ClassMetrics(float(precision[cls]), float(recall[cls]),
+                                     float(f1[cls]), int(support[cls]))
+                   for cls in (0, 1)},
+        weighted_avg=ClassMetrics(*weighted.tolist(), support=n),
+        confusion=tuple(map(tuple, confusion.tolist())),
+        per_fold=per_fold, zero_division_flags=tuple(flags))
 
 
 def stratified_folds(labels, k, seed):
@@ -96,24 +91,26 @@ def stratified_folds(labels, k, seed):
     return [np.array(sorted(f), dtype=np.int64) for f in folds]
 
 
+def fit_predict(spec, data, rows):
+    """Train ``spec`` on the rows of ``data`` where the boolean mask ``rows``
+    is set; returns the class-1 probabilities of the other rows, in order."""
+    model = train(spec, replace(
+        data, X=data.X[rows], y=data.y[rows],
+        row_ids=tuple(itertools.compress(data.row_ids, rows))))
+    return model.predict_proba_matrix(data.X[~rows])
+
+
 def cross_validate(spec, data, k, seed) -> EvalReport:
-    """Train on k-1 folds, test on the held-out fold, pool the confusion."""
-    folds = stratified_folds(data.y, k, seed)
-    n = len(data.y)
-    y_true_all, y_pred_all, per_fold = [], [], []
-    for fold in folds:
-        mask = np.ones(n, dtype=bool)
-        mask[fold] = False
-        train_data = replace(
-            data, X=data.X[mask], y=data.y[mask],
-            row_ids=tuple(itertools.compress(data.row_ids, mask)))
-        model = train(spec, train_data)
-        probs = model.predict_proba_matrix(data.X[fold])
-        preds = (probs >= 0.5).astype(int)
-        y_true_all.extend(data.y[fold].tolist())
-        y_pred_all.extend(preds.tolist())
-        per_fold.append(float(np.mean(preds == data.y[fold])))
-    return report_from_predictions(y_true_all, y_pred_all, per_fold=per_fold)
+    """Predict each stratified fold from a model trained on the others, and
+    report the pooled predictions with each fold's accuracy."""
+    fold = np.empty(len(data.y), dtype=np.int64)
+    for i, members in enumerate(stratified_folds(data.y, k, seed)):
+        fold[members] = i
+    p = np.empty(len(data.y))
+    for i in range(k):
+        held_out = fold == i
+        p[held_out] = fit_predict(spec, data, ~held_out)
+    return report_from_predictions(data.y, p, fold)
 
 
 def evaluate_holdout(model, holdout):
@@ -125,9 +122,6 @@ def evaluate_holdout(model, holdout):
     if holdout.schema.fingerprint() != model.schema.fingerprint():
         raise SchemaMismatch("holdout schema does not match the trained model")
     probs = model.predict_proba_matrix(holdout.X)
-    preds = (probs >= 0.5).astype(int)
-    rows = [
-        (mid, float(p), int(pred), int(actual))
-        for mid, p, pred, actual in zip(holdout.row_ids, probs, preds, holdout.y)
-    ]
-    return report_from_predictions(holdout.y, preds), rows
+    rows = [(mid, float(p), int(p >= 0.5), int(actual))
+            for mid, p, actual in zip(holdout.row_ids, probs, holdout.y)]
+    return report_from_predictions(holdout.y, probs), rows

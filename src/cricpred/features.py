@@ -203,12 +203,19 @@ def _standardize(X):
     return (X - mean) / std
 
 
-def _rank_once(data):
-    """One full elimination pass; returns the ranking, best first."""
-    remaining = data.schema.feature_names()
+def rank_features(encoded: EncodedDataset, target_count: int) -> list:
+    """One full grouped elimination pass; returns the original features,
+    best first. Raises unless ``encoded`` has at least 20 rows and
+    ``target_count`` is between 1 and the number of features."""
+    remaining = encoded.schema.feature_names()
+    if encoded.X.shape[0] < 20:
+        raise TooFewRows(f"need at least 20 rows, got {encoded.X.shape[0]}")
+    if not 1 <= target_count <= len(remaining):
+        raise TargetTooLarge(
+            f"target_count {target_count} outside [1, {len(remaining)}]")
     eliminated = []
     while len(remaining) > 1:
-        subset = data.subset(remaining)
+        subset = encoded.subset(remaining)
         w, _ = fit_logistic(_standardize(subset.X), subset.y, lam=RFE_L2)
         slices = subset.schema.group_slices()
         importances = [float(np.max(np.abs(w[slice(*slices[f])])))
@@ -240,26 +247,16 @@ def rfe_select(encoded: EncodedDataset, target_count: int, resamples: int = 5,
     logistic fit on standardized columns with L2 strength ``RFE_L2``, and
     each subset is scored by the 5-fold CV accuracy of the same fit.
     """
-    n_features = len(encoded.schema.feature_names())
-    if encoded.X.shape[0] < 20:
-        raise TooFewRows(f"need at least 20 rows, got {encoded.X.shape[0]}")
-    if not 1 <= target_count <= n_features:
-        raise TargetTooLarge(
-            f"target_count {target_count} outside [1, {n_features}]")
-    ranking = _rank_once(encoded)
+    ranking = rank_features(encoded, target_count)
     scores = _prefix_scores(encoded, ranking, seed)
     selected = tuple(ranking[:target_count])
+    n = encoded.X.shape[0]
     resample_selected = []
-    agree = 0
     for r in range(resamples):
-        rng = np.random.default_rng([seed, r])
-        sample = rng.integers(0, encoded.X.shape[0], size=encoded.X.shape[0])
-        r_ranking = _rank_once(replace(encoded, X=encoded.X[sample],
-                                       y=encoded.y[sample]))
-        picked = tuple(r_ranking[:target_count])
-        resample_selected.append(picked)
-        if set(picked) == set(selected):
-            agree += 1
+        sample = np.random.default_rng([seed, r]).integers(0, n, size=n)
+        resampled = replace(encoded, X=encoded.X[sample], y=encoded.y[sample])
+        resample_selected.append(tuple(rank_features(resampled, target_count)[:target_count]))
+    agree = sum(set(picked) == set(selected) for picked in resample_selected)
     agreement = agree / resamples if resamples else 1.0
     return RfeResult(ranking=tuple(ranking), selected=selected,
                      per_subset_scores=tuple(scores), stability_runs=resamples,

@@ -244,9 +244,11 @@ def _stored_table(table):
 def _load_table(parameters, schema):
     """The node table stored in ``parameters``. Raises ValueError unless
     its node arrays are of one length, it passes ``tree.check_table``,
-    every leaf's feature is 0 and the trees hold one more leaf than
-    internal nodes each; ``left`` being implied, the last is what finds an
-    internal node whose ``right`` was set to itself."""
+    every leaf's feature is 0, the trees hold one more leaf than internal
+    nodes each, and every node is a root or an internal node's child.
+    ``left`` being implied, the leaf count is what finds an internal node
+    whose ``right`` was set to itself; with it, the last check makes every
+    node reached exactly once, from one root."""
     stored = {key: _decode_array(parameters[key], key) for key in WIRE_DTYPES}
     sizes = {key: stored[key].size for key in ("feature", "threshold", "right")}
     if len(set(sizes.values())) > 1:
@@ -264,6 +266,12 @@ def _load_table(parameters, schema):
     if 2 * leaves != leaf.size + trees:
         raise ValueError(f"{trees} trees hold {leaf.size - leaves} internal nodes and "
                          f"{leaves} leaves, not one more leaf than internal nodes each")
+    reached = np.zeros(leaf.size, dtype=bool)
+    for nodes in (table["roots"], table["left"][~leaf], table["right"][~leaf]):
+        reached[nodes] = True
+    if not reached.all():
+        raise ValueError(f"node {int(reached.argmin())} is neither a root nor "
+                         "an internal node's child")
     return table
 
 

@@ -47,8 +47,7 @@ REFERENCE_POINTS_MODEL = PointsModel(
 def _design_matrix(performances):
     X = np.empty((len(performances), 7), dtype=np.float64)
     X[:, 0] = 1.0
-    for i, perf in enumerate(performances):
-        X[i, 1:] = perf.stats()
+    X[:, 1:] = [perf.stats() for perf in performances]
     return X
 
 

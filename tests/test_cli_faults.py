@@ -352,6 +352,15 @@ def right_at_own_node(p):
 
 
 @on_lists
+def right_at_left_child(p):
+    """An internal node's right child is its left child, as when the
+    league-101 forest's node 0 has right 134 changed to 1: the old right
+    subtree is reached from no root."""
+    i = internal(p)[0]
+    p["right"][i] = i + 1
+
+
+@on_lists
 def feature_out_of_range(p):
     p["feature"][internal(p)[0]] = 99
 
@@ -406,8 +415,8 @@ def set_leaves(p, value):
             p["threshold"][i] = value
 
 
-TABLE_FAULTS = [child_out_of_range, cycle, right_at_own_node, feature_out_of_range,
-                feature_negative, leaf_feature_set, unequal_lengths, leaf_value_nan,
+TABLE_FAULTS = [child_out_of_range, cycle, right_at_own_node, right_at_left_child,
+                feature_out_of_range, feature_negative, leaf_feature_set, unequal_lengths, leaf_value_nan,
                 threshold_nan, invalid_base64_character, ragged_byte_length,
                 version_2_table]
 

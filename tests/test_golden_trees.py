@@ -67,7 +67,7 @@ GOLDEN = {
         "4757098c47c4d8dc5d2fc0907ba75f3d620c76058c11854ab7620af23933562f",
 }
 
-# the same, for the format_version 3 document
+# the same, for the format_version 4 document
 GOLDEN_V4 = {
     ("fixture", "random_forest", ()):
         "a329620ee1df9cfef3dc5a86faa1ceadcc1c472c37fc12c8f3c79794fce43ec9",
