@@ -132,10 +132,9 @@ def _numbers(value, name, shape=()):
     return float(array) if shape == () else array
 
 
-# How a document stores a node table: four arrays, each the base64 of its
-# little-endian bytes. ``left`` is implied, as a preorder table puts an
-# internal node's left child right after it; ``right == i`` marks a leaf,
-# and a leaf's ``threshold`` holds its value.
+# How a document stores the node table an ensemble keeps
+# (``tree.stored_table``): its four arrays, each the base64 of its
+# little-endian bytes in this dtype.
 WIRE_DTYPES = {"roots": "<i4", "feature": "<i2", "threshold": "<f8", "right": "<i4"}
 
 
@@ -212,75 +211,22 @@ def _load_mlp(parameters, schema):
         for i, ((W, b), fan_in, fan_out) in enumerate(zip(layers, sizes, sizes[1:]))]}
 
 
-def _node_table(stored):
-    """The arrays of ``tree.TABLE_KEYS`` from the four a document stores."""
-    roots, feature, threshold, right = (stored[k] for k in WIRE_DTYPES)
-    node = np.arange(right.size)
-    leaf = right == node
-    return {"roots": roots, "feature": feature,
-            "threshold": np.where(leaf, 0.0, threshold),
-            "left": np.where(leaf, node, node + 1), "right": right,
-            "value": np.where(leaf, threshold, 0.0)}
-
-
-def _stored_table(table):
-    """The four arrays a document stores of the node ``table``. Raises
-    ModelError unless ``_node_table`` gives the table back: an internal
-    node's left child is the next node and its value 0, and a leaf's
-    feature and threshold are 0."""
-    leaf = table["right"] == np.arange(table["right"].size)
-    stored = {"roots": table["roots"], "feature": np.where(leaf, 0, table["feature"]),
-              "threshold": np.where(leaf, table["value"], table["threshold"]),
-              "right": table["right"]}
-    for key, array in _node_table(stored).items():
-        differs = array != table[key]
-        if differs.any():
-            raise ModelError(f"node {int(differs.argmax())}'s {key} is not what a "
-                             "document can store: an internal node needs its left "
-                             "child next and value 0, a leaf feature and threshold 0")
-    return stored
-
-
 def _load_table(parameters, schema):
-    """The node table stored in ``parameters``. Raises ValueError unless
-    its node arrays are of one length, it passes ``tree.check_table``,
-    every leaf's feature is 0, the trees hold one more leaf than internal
-    nodes each, and every node is a root or an internal node's child.
-    ``left`` being implied, the leaf count is what finds an internal node
-    whose ``right`` was set to itself; with it, the last check makes every
-    node reached exactly once, from one root."""
-    stored = {key: _decode_array(parameters[key], key) for key in WIRE_DTYPES}
-    sizes = {key: stored[key].size for key in ("feature", "threshold", "right")}
-    if len(set(sizes.values())) > 1:
-        raise ValueError("node table arrays differ in length: " + ", ".join(
-            f"{key} {size}" for key, size in sizes.items()))
-    table = _node_table(stored)
+    """The node table stored in ``parameters``, its four arrays decoded and
+    checked by ``tree.check_table``."""
+    table = {key: _decode_array(parameters[key], key) for key in WIRE_DTYPES}
     tree.check_table(table, schema.total_columns)
-    leaf = table["right"] == np.arange(table["right"].size)
-    bad = leaf & (table["feature"] != 0)
-    if bad.any():
-        i = int(bad.argmax())
-        raise ValueError(f"leaf {i} reads column {table['feature'][i]}; a leaf's "
-                         "feature is 0")
-    leaves, trees = int(leaf.sum()), table["roots"].size
-    if 2 * leaves != leaf.size + trees:
-        raise ValueError(f"{trees} trees hold {leaf.size - leaves} internal nodes and "
-                         f"{leaves} leaves, not one more leaf than internal nodes each")
-    reached = np.zeros(leaf.size, dtype=bool)
-    for nodes in (table["roots"], table["left"][~leaf], table["right"][~leaf]):
-        reached[nodes] = True
-    if not reached.all():
-        raise ValueError(f"node {int(reached.argmin())} is neither a root nor "
-                         "an internal node's child")
     return table
 
 
 def _load_random_forest(parameters, schema):
     table = _load_table(parameters, schema)
-    outside = (table["value"] < 0.0) | (table["value"] > 1.0)
+    threshold = table["threshold"]
+    leaf = table["right"] == np.arange(threshold.size)
+    outside = leaf & ((threshold < 0.0) | (threshold > 1.0))
     if outside.any():
         i = int(outside.argmax())
-        raise ValueError(f"leaf {i} holds value {table['value'][i]}; a forest's "
+        raise ValueError(f"leaf {i} holds value {threshold[i]}; a forest's "
                          "values are class-1 proportions, from 0 to 1")
     return table
 
@@ -368,13 +314,10 @@ class ModelDocument:
 
 
 def _document_parameters(parameters):
-    """``parameters`` as JSON values, a node table as the base64 strings of
-    its four stored arrays."""
-    plain = {k: _plain(v) for k, v in parameters.items() if k not in tree.TABLE_KEYS}
-    if "roots" in parameters:
-        plain.update((k, _encode_array(v, k))
-                     for k, v in _stored_table(parameters).items())
-    return plain
+    """``parameters`` as JSON values, a node table's arrays as base64
+    strings."""
+    return {k: _encode_array(v, k) if k in WIRE_DTYPES else _plain(v)
+            for k, v in parameters.items()}
 
 
 def serialize(model: TrainedClassifier, points_model: PointsModel | None = None,

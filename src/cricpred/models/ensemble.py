@@ -1,8 +1,10 @@
 """Random forest and gradient-boosted trees on the shared tree builder.
 
-Both join the grower's node tables into one (``_join``). They add up the
-trees' leaf values one tree at a time, in tree order: a pairwise
-``sum(axis=0)`` can round differently.
+Each keeps its trees as one node table in the four-array form a model
+document stores: every group or round of trees is converted once, right
+after growing (``tree.stored_table``), and the converted tables are
+joined (``_join``). Both add up the trees' leaf values one tree at a
+time, in tree order: a pairwise ``sum(axis=0)`` can round differently.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ import numpy as np
 
 from .linear import sigmoid
 from .tree import (
-    TABLE_KEYS,
     fit_regression_tree,
     grow_classification_trees,
+    stored_table,
     tree_predict_matrix,
 )
 
@@ -29,12 +31,13 @@ BOOSTING_MAX_DEPTH = 3
 
 
 def _join(tables):
-    """One node table of the trees of ``tables``, in order: each table's
-    node indices shift by the nodes before it."""
-    offsets = np.cumsum([0] + [t["value"].size for t in tables[:-1]])
-    return {k: np.concatenate([t[k] + offset if k in ("roots", "left", "right")
+    """One stored node table of the trees of the stored ``tables``, in
+    order: each table's ``roots`` and ``right`` shift by the nodes before
+    it."""
+    offsets = np.cumsum([0] + [t["right"].size for t in tables[:-1]])
+    return {k: np.concatenate([t[k] + offset if k in ("roots", "right")
                                else t[k] for t, offset in zip(tables, offsets)])
-            for k in TABLE_KEYS}
+            for k in tables[0]}
 
 
 def train_random_forest(X, y, hp, seed):
@@ -47,9 +50,9 @@ def train_random_forest(X, y, hp, seed):
                 for t in range(first, min(first + TREE_GROUP, n_trees))]
         roots = [rng.integers(0, n, size=n) if hp["bootstrap"] else np.arange(n)
                  for rng in rngs]
-        groups.append(grow_classification_trees(
+        groups.append(stored_table(grow_classification_trees(
             X, y, roots, min_leaf=hp["min_leaf"], max_depth=hp["max_depth"],
-            rngs=rngs, max_features=max_features))
+            rngs=rngs, max_features=max_features)))
     return _join(groups)
 
 
@@ -69,7 +72,8 @@ def train_gradient_boosting(X, y, hp, seed):
         p = sigmoid(f)
         grad = y - p          # negative gradient of logistic loss
         hess = p * (1.0 - p)
-        tree = fit_regression_tree(X, grad, hess, max_depth=BOOSTING_MAX_DEPTH)
+        tree = stored_table(fit_regression_tree(X, grad, hess,
+                                                max_depth=BOOSTING_MAX_DEPTH))
         f = f + BOOSTING_SHRINKAGE * tree_predict_matrix(tree, X)[0]
         trees.append(tree)
     return {"base_score": f0, "shrinkage": BOOSTING_SHRINKAGE, **_join(trees)}

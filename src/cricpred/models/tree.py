@@ -15,21 +15,24 @@ forest's tree draws the candidate columns of its nodes from its own
 generator, in one call per level for all its open nodes
 (``draw_features``).
 
-Trees come out as one flat node table, the form an ensemble is saved and
-predicted in and the layout of scikit-learn's ``Tree`` and of XGBoost:
-the parallel arrays ``feature``, ``threshold``, ``left``, ``right`` and
-``value`` over the nodes of every tree in preorder, and ``roots``, the
-index of each tree's first node. The grower keeps each level's nodes and
-places them once the last level is grown (``_preorder``). A row goes to
-``left`` when its ``feature`` column is below ``threshold``. A leaf's
-``left`` and ``right`` are its own index, and its ``feature`` and
-``threshold`` are 0, so ``tree_predict_matrix`` moves every (tree, row)
-pair down one level per step until none moves. The arrays are int64 and
-float64 (``TABLE_DTYPES``). A model document stores four of them, as the
-base64 of their little-endian bytes: ``roots``, ``feature``,
-``threshold`` and ``right``, a leaf's ``threshold`` holding its value; a
-preorder table implies ``left``, and loading rebuilds all six in these
-dtypes (``models/base.py``).
+The grower returns one flat node table, the layout of scikit-learn's
+``Tree`` and of XGBoost: the parallel arrays ``feature``, ``threshold``,
+``left``, ``right`` and ``value`` over the nodes of every tree in
+preorder, and ``roots``, the index of each tree's first node. It keeps
+each level's nodes and places them once the last level is grown
+(``_preorder``). A leaf's ``left`` and ``right`` are its own index, and
+its ``feature`` and ``threshold`` are 0. The arrays are int64 and float64
+(``TABLE_DTYPES``).
+
+An ensemble keeps, predicts from and saves only four of them
+(``stored_table``): ``roots``, ``feature``, ``threshold`` and ``right``.
+A preorder table puts an internal node's left child right after it, so
+``left`` is ``i + 1``; ``right == i`` marks a leaf, whose ``threshold``
+holds its value. A row goes to ``i + 1`` when its ``feature`` column is
+below ``threshold`` and to ``right`` otherwise, and a leaf never moves, so
+``tree_predict_matrix`` moves every (tree, row) pair down one level per
+step until none moves. A model document stores the four arrays as they
+are (``models/base.py``), and loading checks them once (``check_table``).
 
 The split kernels score many nodes in one call, their rows node after
 node and ``sizes`` holding each node's row count. Every score is
@@ -49,6 +52,8 @@ which path a column takes. Ties go to the first cut point.
 from __future__ import annotations
 
 import numpy as np
+
+from ..errors import ModelError
 
 TABLE_KEYS = ("roots", "feature", "threshold", "left", "right", "value")
 TABLE_DTYPES = {"roots": np.int64, "feature": np.int64, "threshold": np.float64,
@@ -394,20 +399,46 @@ def fit_regression_tree(X, grad, hess, min_leaf=1, max_depth=3):
                  max_depth, None, None, best_split_sse, count_split_sse)
 
 
+def stored_table(table):
+    """The four arrays an ensemble keeps of the grown node ``table``:
+    ``roots``, ``feature``, ``threshold`` (a leaf's holding its value) and
+    ``right``. Raises ModelError unless they imply the rest: an internal
+    node's left child is the next node and its value 0, and a leaf's
+    feature and threshold are 0."""
+    right = table["right"]
+    node = np.arange(right.size)
+    leaf = right == node
+    for key, differs in (("feature", leaf & (table["feature"] != 0)),
+                         ("threshold", leaf & (table["threshold"] != 0.0)),
+                         ("left", table["left"] != np.where(leaf, node, node + 1)),
+                         ("value", ~leaf & (table["value"] != 0.0))):
+        if differs.any():
+            raise ModelError(f"node {int(differs.argmax())}'s {key} is not what a "
+                             "document can store: an internal node needs its left "
+                             "child next and value 0, a leaf feature and threshold 0")
+    return {"roots": table["roots"], "feature": table["feature"],
+            "threshold": np.where(leaf, table["value"], table["threshold"]),
+            "right": right}
+
+
 def check_table(table, n_columns):
-    """Raises ValueError unless the node ``table`` (arrays keyed by
-    ``TABLE_KEYS``) has at least one tree, its node arrays are of one
-    length, every root is a node, every node's ``feature`` is a column
-    below ``n_columns``, and every node either is a leaf (``left`` and
-    ``right`` are itself) or has both children past itself and inside the
-    table. The last condition rules out cycles, so every descent ends at a
-    leaf."""
-    n = table["value"].size
-    roots, feature, left, right = (table[k] for k in ("roots", "feature",
-                                                      "left", "right"))
-    if any(table[k].size != n for k in TABLE_KEYS[1:]):
+    """Raises ValueError unless the stored node ``table`` (``roots``,
+    ``feature``, ``threshold`` and ``right``) has node arrays of one
+    length and at least one tree, every root is a node, every feature is
+    a column below ``n_columns`` and a leaf's is 0, every internal node's
+    children ``i + 1`` and ``right`` lie in ``(i, n)``, each tree has one
+    more leaf than internal nodes, and every node is a root or an internal
+    node's child. Children past their parent rule out cycles, so every
+    descent ends at a leaf. The roots and children then name exactly
+    ``n`` nodes and every node is among them, so every node is reached
+    exactly once, from one root. The checks do not prove preorder: a
+    right child may sit among its left sibling's descendants, and such a
+    table still predicts as its links say."""
+    roots, feature, right = table["roots"], table["feature"], table["right"]
+    n = right.size
+    if not feature.size == table["threshold"].size == n:
         raise ValueError("node table arrays differ in length: " + ", ".join(
-            f"{k} {table[k].size}" for k in TABLE_KEYS[1:]))
+            f"{k} {table[k].size}" for k in ("feature", "threshold", "right")))
     if roots.size == 0:
         raise ValueError("node table holds no tree")
     if roots.min() < 0 or roots.max() >= n:
@@ -418,25 +449,42 @@ def check_table(table, n_columns):
         raise ValueError(f"node {i} reads column {feature[i]}, outside "
                          f"the {n_columns} columns")
     node = np.arange(n)
-    leaf = (left == node) & (right == node)
-    bad = ~leaf & ((left <= node) | (left >= n) | (right <= node) | (right >= n))
+    leaf = right == node
+    bad = leaf & (feature != 0)
     if bad.any():
         i = int(bad.argmax())
-        raise ValueError(f"node {i} has children {left[i]} and {right[i]}; "
-                         f"they must both be itself or lie in ({i}, {n})")
+        raise ValueError(f"leaf {i} reads column {feature[i]}; a leaf's "
+                         "feature is 0")
+    # ``right`` in (i, n) puts ``i + 1`` there too
+    bad = ~leaf & ((right <= node) | (right >= n))
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(f"node {i} has children {i + 1} and {right[i]}; "
+                         f"they must lie in ({i}, {n})")
+    leaves = int(leaf.sum())
+    if 2 * leaves != n + roots.size:
+        raise ValueError(f"{roots.size} trees hold {n - leaves} internal nodes and "
+                         f"{leaves} leaves, not one more leaf than internal nodes each")
+    reached = np.zeros(n, dtype=bool)
+    for nodes in (roots, node[~leaf] + 1, right[~leaf]):
+        reached[nodes] = True
+    if not reached.all():
+        raise ValueError(f"node {int(reached.argmin())} is neither a root nor "
+                         "an internal node's child")
 
 
 def tree_predict_matrix(table, X):
-    """Leaf values of every tree of the node ``table`` (rows of the result)
-    for every row of ``X`` (columns)."""
+    """Leaf values of every tree of the stored node ``table`` (rows of the
+    result) for every row of ``X`` (columns)."""
     X = np.asarray(X, dtype=np.float64)
-    feature, threshold, left, right = (table[k] for k in ("feature", "threshold",
-                                                          "left", "right"))
+    feature, threshold, right = table["feature"], table["threshold"], table["right"]
     rows = np.arange(X.shape[0])
     node = np.repeat(table["roots"][:, None], rows.size, axis=1)
     while True:
-        step = np.where(X[rows, feature[node]] < threshold[node],
-                        left[node], right[node])
+        child = right[node]
+        # a leaf's threshold is its value, so only an internal node goes left
+        goes_left = (X[rows, feature[node]] < threshold[node]) & (child != node)
+        step = np.where(goes_left, node + 1, child)
         if np.array_equal(step, node):
-            return table["value"][node]
+            return threshold[node]
         node = step

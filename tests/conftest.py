@@ -39,18 +39,23 @@ def stored_strings(parameters):
 
 def table_lists(parameters):
     """Turn the node table stored in a document's ``parameters`` into the
-    six JSON lists of a format_version 2 table, in place: an internal
-    node's ``left`` is the next node and its ``value`` 0.0, and a leaf's
-    ``left`` is itself, its ``value`` the stored threshold and its
-    ``threshold`` 0.0. Other parameters are left alone."""
+    six JSON lists of a format_version 2 table, in place (``grown_lists``).
+    Other parameters are left alone."""
     stored_lists(parameters)
     if "right" in parameters:
-        leaf = [child == i for i, child in enumerate(parameters["right"])]
-        threshold = parameters["threshold"]
-        parameters["left"] = [i if is_leaf else i + 1 for i, is_leaf in enumerate(leaf)]
-        parameters["value"] = [t if is_leaf else 0.0 for t, is_leaf in zip(threshold, leaf)]
-        parameters["threshold"] = [0.0 if is_leaf else t
-                                   for t, is_leaf in zip(threshold, leaf)]
+        grown_lists(parameters)
+
+
+def grown_lists(table):
+    """Rebuild, in place, the six lists of a grown node table from the
+    four stored ones in ``table``: an internal node's ``left`` is the next
+    node and its ``value`` 0.0, and a leaf's ``left`` is itself, its
+    ``value`` the stored threshold and its ``threshold`` 0.0."""
+    leaf = [child == i for i, child in enumerate(table["right"])]
+    threshold = table["threshold"]
+    table["left"] = [i if is_leaf else i + 1 for i, is_leaf in enumerate(leaf)]
+    table["value"] = [t if is_leaf else 0.0 for t, is_leaf in zip(threshold, leaf)]
+    table["threshold"] = [0.0 if is_leaf else t for t, is_leaf in zip(threshold, leaf)]
 
 
 def fixture_dataset(mode=PER_SEASON):

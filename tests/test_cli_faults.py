@@ -361,6 +361,23 @@ def right_at_left_child(p):
 
 
 @on_lists
+def roots_empty(p):
+    p["roots"] = []
+
+
+@on_lists
+def root_out_of_range(p):
+    p["roots"][-1] = len(p["right"])
+
+
+@on_lists
+def root_repeated(p):
+    """The first tree twice: its nodes are reached from two roots, which
+    the leaf count finds."""
+    p["roots"] = p["roots"] + [p["roots"][0]]
+
+
+@on_lists
 def feature_out_of_range(p):
     p["feature"][internal(p)[0]] = 99
 
@@ -416,7 +433,7 @@ def set_leaves(p, value):
 
 
 TABLE_FAULTS = [child_out_of_range, cycle, right_at_own_node, right_at_left_child,
-                feature_out_of_range, feature_negative, leaf_feature_set, unequal_lengths, leaf_value_nan,
+                roots_empty, root_out_of_range, root_repeated, feature_out_of_range, feature_negative, leaf_feature_set, unequal_lengths, leaf_value_nan,
                 threshold_nan, invalid_base64_character, ragged_byte_length,
                 version_2_table]
 

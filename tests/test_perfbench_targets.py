@@ -53,10 +53,14 @@ def test_split_kernels_are_read_at_call_time(monkeypatch):
     assert set(calls) == {"best_split_gini", "best_split_sse"}
 
 
-def test_tree_fit_hook_takes_a_fit(layers):
-    """The counter hook of the tree fits accepts what they return."""
+@pytest.mark.parametrize("fit", ["fit_classification_tree", "fit_regression_tree"])
+def test_tree_fit_hook_takes_a_fit(layers, fit):
+    """The counter hook of the tree fits accepts what they return. The
+    tracer's ``_nodes`` reads ``value`` and ``left`` of it, so the fits
+    keep returning the grower's six arrays, not the four an ensemble keeps
+    (ROADMAP item 3). Boosting's rounds go through the regression fit."""
     counters = layers.collections.Counter()
-    table = tree.fit_classification_tree(np.arange(4.0)[:, None],
-                                         np.array([0.0, 0.0, 1.0, 1.0]))
-    layers._count_tree_fit(counters, (), table)
+    X, y = np.arange(4.0)[:, None], np.array([0.0, 0.0, 1.0, 1.0])
+    args = (X, y) if fit == "fit_classification_tree" else (X, y - 0.5, np.full(4, 0.25))
+    layers._count_tree_fit(counters, args, getattr(tree, fit)(*args))
     assert counters["tree.nodes"] >= 1

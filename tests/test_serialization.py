@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import numpy as np
@@ -21,8 +20,8 @@ from cricpred.models import (
     serialize,
     train,
 )
-from cricpred.models.base import _encode_array
-from cricpred.models.tree import TABLE_DTYPES
+from cricpred.models.base import WIRE_DTYPES, _encode_array
+from cricpred.models.tree import TABLE_DTYPES, fit_classification_tree, stored_table
 from cricpred.scoring import REFERENCE_POINTS_MODEL
 
 from conftest import fixture_path, separable_dataset
@@ -64,7 +63,8 @@ class TestRoundTrip:
     def test_load_and_save_reproduce_the_file(self, kind, fixture_documents,
                                               tmp_path):
         """A saved document, loaded and saved again, is the same bytes, and
-        its node tables load in the dtypes the tree code computes in."""
+        its node table loads as the four stored arrays, in the dtypes the
+        tree code computes in."""
         path = fixture_documents / f"model_{kind}.json"
         loaded = load_document(path)
         again = tmp_path / "again.json"
@@ -72,8 +72,10 @@ class TestRoundTrip:
                       again)
         assert again.read_bytes() == path.read_bytes()
         if kind in ("random_forest", "gradient_boosting"):
-            parameters = loaded.model.parameters
-            assert {k: parameters[k].dtype for k in TABLE_DTYPES} == TABLE_DTYPES
+            table = {k: v for k, v in loaded.model.parameters.items()
+                     if isinstance(v, np.ndarray)}
+            assert {k: v.dtype for k, v in table.items()} == {
+                k: TABLE_DTYPES[k] for k in WIRE_DTYPES}
 
     def test_document_fields(self):
         data = separable_dataset(n=120, seed=0)
@@ -127,17 +129,17 @@ class TestRejections:
     @pytest.mark.parametrize("key, at_leaf", [
         ("left", False), ("feature", True), ("threshold", True), ("value", False)])
     def test_table_a_document_cannot_store(self, key, at_leaf):
-        """A node table whose dropped facts are not the ones a document
-        implies is refused, not stored without them: an internal node's
-        left child other than the next node or its value other than 0, a
-        leaf's feature or threshold other than 0."""
-        model = train(small_spec("random_forest"), separable_dataset(n=120, seed=0))
-        table = {k: v.copy() for k, v in model.parameters.items()}
+        """A grown node table whose dropped facts are not the ones the
+        stored form implies is refused, not kept without them: an internal
+        node's left child other than the next node or its value other than
+        0, a leaf's feature or threshold other than 0."""
+        data = separable_dataset(n=120, seed=0)
+        table = fit_classification_tree(data.X, data.y)
         leaf = table["right"] == np.arange(table["right"].size)
         i = int(np.flatnonzero(leaf == at_leaf)[0])
         table[key][i] += 2
         with pytest.raises(ModelError, match=f"node {i}'s {key} "):
-            serialize(dataclasses.replace(model, parameters=table))
+            stored_table(table)
 
     def test_wrong_width_rows(self):
         doc, data = self.make_doc()

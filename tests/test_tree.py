@@ -15,10 +15,11 @@ from cricpred.models.tree import (
     fit_classification_tree,
     fit_regression_tree,
     grow_classification_trees,
+    stored_table,
     tree_predict_matrix,
 )
 
-from conftest import fixture_dataset, separable_dataset
+from conftest import fixture_dataset, grown_lists, separable_dataset
 
 MAX = np.finfo(np.float64).max
 
@@ -42,7 +43,7 @@ class TestThresholdBetweenAdjacentValues:
         X, y = adjacent_pair(lo)
         table = fit_classification_tree(X, y)
         assert lo < table["threshold"][0] <= X[2, 0]
-        assert tree_predict_matrix(table, X)[0].tolist() == y.tolist()
+        assert tree_predict_matrix(stored_table(table), X)[0].tolist() == y.tolist()
 
     def test_sse(self, lo):
         X, y = adjacent_pair(lo)
@@ -51,13 +52,16 @@ class TestThresholdBetweenAdjacentValues:
         value, left, right = table["value"], table["left"][0], table["right"][0]
         leaves = [value[left]] * 2 + [value[right]] * 2
         assert leaves[0] != leaves[2]
-        assert tree_predict_matrix(table, X)[0].tolist() == leaves
+        assert tree_predict_matrix(stored_table(table), X)[0].tolist() == leaves
 
 
-# --- the vectorized descent against a scalar one over the same table -----
+# --- the vectorized descent over the stored table against a scalar one ---
+# --- over the grown table it was converted from ---------------------------
 
 def walk(table, node, row):
-    """Reference descent: one row from one root, one node at a time."""
+    """Reference descent over a grown table's six arrays: one row from one
+    root, one node at a time. It reads ``left`` and ``value``, which the
+    stored table the descent under test reads does not hold."""
     while table["left"][node] != node:
         go_left = row[table["feature"][node]] < table["threshold"][node]
         node = table["left"][node] if go_left else table["right"][node]
@@ -67,6 +71,14 @@ def walk(table, node, row):
 def walk_matrix(table, X):
     return np.array([[walk(table, root, row) for row in X]
                      for root in table["roots"]], dtype=np.float64)
+
+
+def grown(stored):
+    """The six lists of the grown table an ensemble's stored table came
+    from."""
+    table = {k: stored[k].tolist() for k in ("roots", "feature", "threshold", "right")}
+    grown_lists(table)
+    return table
 
 
 def random_rows(data, n=200):
@@ -92,7 +104,7 @@ def test_ensemble_matches_nested_walk(source, kind):
     model = train(make_spec(kind, seed=3, **ENSEMBLES[kind]), data)
     params = model.parameters
     for X in (data.X, random_rows(data), np.zeros((0, data.X.shape[1]))):
-        leaves = walk_matrix(params, X)
+        leaves = walk_matrix(grown(params), X)
         assert np.array_equal(tree_predict_matrix(params, X), leaves)
         # the ensemble sums its trees in tree order, one tree at a time
         if kind == "random_forest":
@@ -117,7 +129,7 @@ def test_adjacent_doubles_match_nested_walk(lo):
                        [np.inf], [np.nan]])
     for rows in (X, probes):
         for table in tables:
-            assert np.array_equal(tree_predict_matrix(table, rows),
+            assert np.array_equal(tree_predict_matrix(stored_table(table), rows),
                                   walk_matrix(table, rows))
 
 
@@ -132,7 +144,7 @@ def test_random_matrices_match_nested_walk():
         tables.append(fit_regression_tree(X, y - 0.5, np.full(80, 0.25)))
         rows = rng.normal(size=(150, 4))
         for table in tables:
-            assert np.array_equal(tree_predict_matrix(table, rows),
+            assert np.array_equal(tree_predict_matrix(stored_table(table), rows),
                                   walk_matrix(table, rows))
 
 
@@ -351,11 +363,24 @@ def test_grown_table_is_preorder(name, X, y):
                                         max_features=3),
               fit_regression_tree(X, y - 0.5, np.full(y.size, 0.25), max_depth=4)]
     for table in tables:
-        check_table(table, X.shape[1])
+        check_table(stored_table(table), X.shape[1])
         node = np.arange(table["value"].size)
         internal = table["left"] != node
         assert internal.any()
         assert np.array_equal(table["left"][internal], node[internal] + 1)
+
+
+def test_table_out_of_preorder_predicts_by_its_links():
+    """Node 0's right child (3) sits among its left child's descendants
+    (2 and 4): not preorder, but every node is reached once, from the
+    root. The table passes the load checks, and each row ends in the leaf
+    its links lead to."""
+    table = {"roots": np.array([0]), "feature": np.array([0, 1, 0, 0, 0]),
+             "threshold": np.array([0.5, 0.5, 10.0, 30.0, 20.0]),
+             "right": np.array([3, 4, 2, 3, 4])}
+    check_table(table, 2)
+    X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+    assert tree_predict_matrix(table, X).tolist() == [[10.0, 20.0, 30.0]]
 
 
 def test_level_draw():
