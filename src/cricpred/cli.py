@@ -6,7 +6,8 @@ or written (``OSError``) and the ingestion and validation errors; 3
 ``errors.ModelError`` (training and model documents); 4
 ``errors.PredictionInputError``. Each error family carries its code, and
 ``main`` is the only place that maps it: one ``error: ...`` line on stderr
-(argparse prints its usage line first), never a traceback.
+(argparse prints its usage line first), never a traceback. An unseen
+category is one ``warning: ...`` line per distinct message, never an error.
 
 ``--config FILE`` holds ``key = value`` lines with keys from
 ``CONFIG_KEYS``. They become ``--key=value`` flags placed before the
@@ -20,6 +21,7 @@ import argparse
 import csv
 import functools
 import sys
+import warnings
 from pathlib import Path
 
 from . import errors
@@ -207,17 +209,6 @@ def cmd_cv(args):
     return 0
 
 
-def _latest_weights(ledger, teams):
-    """Each team's weight in its last ledger row, from one walk of the rows."""
-    latest = {t: w for t, _, _, w in ledger.rows() if t in teams}
-    for team in teams:
-        if team not in latest:
-            raise errors.PredictionInputError(
-                f"team {team} is absent from the model's weight ledger and no "
-                "cold-start data exists")
-    return [latest[team] for team in teams]
-
-
 def cmd_predict(args):
     document = model_base.load_document(args.model)
     home, away, toss_winner = args.home, args.away, args.toss_winner
@@ -228,7 +219,13 @@ def cmd_predict(args):
             f"toss_winner {toss_winner} is not one of the two teams")
     if document.ledger is None:
         raise errors.PredictionInputError("model document carries no team weights")
-    w1, w2 = _latest_weights(document.ledger, (home, away))
+    served = {t: w for t, _, _, w in document.ledger.latest().rows()}
+    for team in (home, away):
+        if team not in served:
+            raise errors.PredictionInputError(
+                f"team {team} is absent from the model's weight ledger and no "
+                "cold-start data exists")
+    w1, w2 = served[home], served[away]
     row = encode_values(
         document.model.schema,
         {"home_team": home, "away_team": away, "toss_winner": toss_winner,
@@ -375,17 +372,36 @@ def build_parser():
     return parser
 
 
+def _one_line_unseen(show):
+    """A ``warnings.showwarning`` that writes each distinct
+    ``UnseenCategory`` message once, as one ``warning: ...`` line, and
+    hands every other warning to ``show``."""
+    shown = set()
+
+    def showwarning(message, category, *where):
+        if not issubclass(category, errors.UnseenCategory):
+            return show(message, category, *where)
+        if str(message) not in shown:
+            shown.add(str(message))
+            print(f"warning: {message}", file=sys.stderr)
+    return showwarning
+
+
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    try:
-        args = build_parser().parse_args(_with_config(argv))
-        Path(args.out_dir).mkdir(parents=True, exist_ok=True)
-        return args.func(args)
-    except SystemExit as exc:  # argparse: 2 for a usage error, 0 for --help
-        return exc.code
-    except (errors.CricpredError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return getattr(exc, "exit_code", 2)  # OSError: 2
+    with warnings.catch_warnings():
+        # an unseen category is never an error, whatever the -W filters say
+        warnings.simplefilter("always", errors.UnseenCategory)
+        warnings.showwarning = _one_line_unseen(warnings.showwarning)
+        try:
+            args = build_parser().parse_args(_with_config(argv))
+            Path(args.out_dir).mkdir(parents=True, exist_ok=True)
+            return args.func(args)
+        except SystemExit as exc:  # argparse: 2 for a usage error, 0 for --help
+            return exc.code
+        except (errors.CricpredError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return getattr(exc, "exit_code", 2)  # OSError: 2
 
 
 if __name__ == "__main__":

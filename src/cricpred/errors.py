@@ -4,6 +4,7 @@ Every error carries ``exit_code``, the status the command line exits with
 when the error reaches it: 2 for malformed inputs and data the pipeline
 cannot use (the default), 3 for the ``ModelError`` family (training and
 model documents), 4 for the ``PredictionInputError`` family.
+``UnseenCategory`` is the package's one warning.
 """
 
 
@@ -95,6 +96,11 @@ class TooFewRows(CricpredError):
 
 class TargetTooLarge(CricpredError):
     pass
+
+
+class UnseenCategory(UserWarning):
+    """A categorical value the schema has not seen; it encodes as the
+    dropped category."""
 
 
 # --- classifiers -----------------------------------------------------------

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dataset import MatchDataset, label_of
-from .errors import EmptyDataset, TargetTooLarge, TooFewRows
+from .errors import EmptyDataset, TargetTooLarge, TooFewRows, UnseenCategory
 from .evaluation import cross_validate
 from .models.base import make_spec
 from .models.linear import fit_logistic
@@ -145,7 +145,7 @@ def encode_values(schema: FeatureSchema, categorical: dict, numeric: dict) -> np
         if value not in cats:
             warnings.warn(
                 f"unseen {name} category {value!r}; encoding as the dropped category",
-                stacklevel=2)
+                UnseenCategory, stacklevel=2)
         elif value != cats[0]:
             row[start + cats.index(value) - 1] = 1.0
         start += width

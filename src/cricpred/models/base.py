@@ -322,6 +322,8 @@ def _document_parameters(parameters):
 
 def serialize(model: TrainedClassifier, points_model: PointsModel | None = None,
               ledger: TeamWeightLedger | None = None) -> dict:
+    """The JSON document of ``model``. Of ``ledger`` it keeps only the row
+    each team serves predictions with (``ledger.latest()``)."""
     return {
         "format_version": FORMAT_VERSION,
         "label_convention": LABEL_CONVENTION,
@@ -330,7 +332,7 @@ def serialize(model: TrainedClassifier, points_model: PointsModel | None = None,
         "schema_fingerprint": model.schema.fingerprint(),
         "training_rows": model.training_rows,
         "points_model": points_model.to_dict() if points_model else None,
-        "team_weights": ledger.to_dict() if ledger else None,
+        "team_weights": ledger.latest().to_dict() if ledger else None,
         "parameters": _document_parameters(model.parameters),
     }
 

@@ -16,11 +16,13 @@ a match's weight unchanged, but neither mode is causal: both read
 end-of-season player totals, which include the match being predicted and
 later ones.
 
-A ledger holds each weight under the key of its document row,
+A ledger holds each weight under the key of its row,
 ``(team, season, as_of)``: ``as_of`` is ``"season"`` in ``per_season`` and
-the match date's ISO string in ``per_match``. A date that falls in two of a
-team's seasons (a season that runs into the next year) keeps one weight
-for each.
+the match date's ``YYYY-MM-DD`` string in ``per_match``. A date that falls
+in two of a team's seasons (a season that runs into the next year) keeps
+one weight for each. A team serves predictions with its last row in
+``rows()`` order, its latest season and date (``latest()``); a model
+document stores only those rows.
 """
 
 from __future__ import annotations
@@ -80,6 +82,12 @@ class TeamWeightLedger:
                        for (team, season, as_of), weight in self.entries.items()),
                       key=lambda r: (r[1], r[0], r[2]))
 
+    def latest(self):
+        """The ledger of each team's last row in ``rows()`` order: the
+        weight the team serves predictions with."""
+        last = {row[0]: row for row in self.rows()}
+        return TeamWeightLedger(self.mode, {row[:3]: row[3] for row in last.values()})
+
     def to_dict(self):
         return {
             "mode": self.mode,
@@ -94,12 +102,11 @@ class TeamWeightLedger:
         """Raises ValueError on an unknown mode, a team that is not a
         string, a season that is not an integer, a weight that is not a
         finite JSON number (a string, boolean, null, NaN or infinity), a
-        key given twice or, for ``per_match``, an ``as_of`` that is not an
-        ISO date (TypeError if it is not a string). A ``per_season`` row's
-        ``as_of`` is not read."""
+        key given twice or, for ``per_match``, an ``as_of`` that is not a
+        ``YYYY-MM-DD`` date (TypeError if it is not a string). A
+        ``per_season`` row's ``as_of`` is not read."""
         import datetime as dt
         entries = {}
-        dates = {}  # as_of -> its canonical ISO string, parsed once per load
         mode = doc["mode"]
         if mode not in (PER_SEASON, PER_MATCH):
             raise ValueError(f"unknown ledger mode {mode!r}")
@@ -113,11 +120,12 @@ class TeamWeightLedger:
                                  "not a finite number")
             as_of = "season"
             if mode == PER_MATCH:
-                raw = row["as_of"]
-                # fromisoformat raises on a non-string before it is a key
-                if type(raw) is not str or raw not in dates:
-                    dates[raw] = dt.date.fromisoformat(raw).isoformat()
-                as_of = dates[raw]
+                as_of = row["as_of"]
+                # only the form isoformat() writes: Python 3.11's
+                # fromisoformat also takes "20180405"; a non-string raises
+                if dt.date.fromisoformat(as_of).isoformat() != as_of:
+                    raise ValueError(f"team {team!r} has as_of {as_of!r}, "
+                                     "not a YYYY-MM-DD date")
             key = (team, season, as_of)
             if key in entries:
                 raise ValueError(f"the ledger holds team {team!r} at "

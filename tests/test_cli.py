@@ -2,11 +2,15 @@ import csv
 import hashlib
 import json
 import shutil
+import warnings
 
 import pytest
 
-from cricpred.cli import main
+from cricpred.cli import _one_line_unseen, _points_model, main
+from cricpred.dataset import load_matches, load_player_performances
+from cricpred.errors import UnseenCategory
 from cricpred.models import FORMAT_VERSION
+from cricpred.strength import PER_MATCH, PER_SEASON, build_ledger
 
 from conftest import fixture_path
 
@@ -164,14 +168,18 @@ class TestPredict:
         assert "toss_winner" in err
 
     def test_unseen_venue_warns_but_predicts(self, capsys, model_path):
-        with pytest.warns(UserWarning, match="unseen venue"):
-            code, out, _ = run(capsys, "predict", "--model", model_path,
-                               "--home", "CSK", "--away", "RR",
-                               "--venue", "Brand New Stadium",
-                               "--toss-winner", "RR",
-                               "--toss-decision", "field")
+        """One ``warning:`` line, even where every warning is an error."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "predict", "--model", model_path,
+                                 "--home", "CSK", "--away", "RR",
+                                 "--venue", "Brand New Stadium",
+                                 "--toss-winner", "RR",
+                                 "--toss-decision", "field")
         assert code == 0
         assert "predicted winner:" in out
+        assert err == ("warning: unseen venue category 'Brand New Stadium'; "
+                       "encoding as the dropped category\n")
 
     def test_team_without_ledger_entry_exit_4(self, capsys, model_path):
         code, _, err = run(capsys, "predict", "--model", model_path,
@@ -217,6 +225,58 @@ class TestPredict:
                            "--venue", "Dr DY Patil Sports Academy",
                            "--toss-winner", "CSK", "--toss-decision", "bat")
         assert code == 3
+
+
+def test_unseen_category_shown_once_per_message(capsys):
+    others = []
+    show = _one_line_unseen(lambda message, category, *where: others.append(category))
+    for value in ("A", "A", "B"):
+        show(UnseenCategory(f"unseen venue category {value!r}"), UnseenCategory,
+             "features.py", 1)
+    show(DeprecationWarning("old"), DeprecationWarning, "features.py", 1)
+    assert capsys.readouterr().err == ("warning: unseen venue category 'A'\n"
+                                       "warning: unseen venue category 'B'\n")
+    assert others == [DeprecationWarning]
+
+
+@pytest.mark.parametrize("holdout", [None, 2017])
+@pytest.mark.parametrize("mode", [PER_SEASON, PER_MATCH])
+def test_document_serves_each_teams_last_row(capsys, tmp_path, data_args,
+                                             mode, holdout):
+    """A document keeps one row per team, the team's last row of the
+    training ledger; ``predict`` serves that weight, and a document that
+    holds the whole ledger, as older ones do, predicts the same."""
+    held = [] if holdout is None else ["--holdout-season", str(holdout)]
+    code, _, _ = run(capsys, "train", *data_args, "--kind", "logistic_regression",
+                     "--mode", mode, *held, "--out-dir", str(tmp_path))
+    assert code == 0
+    path = tmp_path / "model_logistic_regression.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    dataset = load_matches(data_args[1])
+    if holdout is not None:
+        dataset = dataset.restrict({s for s in dataset.seasons() if s < holdout})
+    players = load_player_performances(data_args[3])
+    ledger = build_ledger(_points_model(players)[0], players, dataset, mode=mode)
+    last = {team: weight for team, _, _, weight in ledger.rows()}
+    assert doc["team_weights"] == ledger.latest().to_dict()
+    assert sorted(e["team"] for e in doc["team_weights"]["entries"]) == sorted(last)
+    old = tmp_path / "whole_ledger.json"
+    old.write_text(json.dumps({**doc, "team_weights": ledger.to_dict()}),
+                   encoding="utf-8")
+    covered = set()
+    for m in dataset.matches:  # every team, on inputs the schema has seen
+        if {m.home_team, m.away_team} <= covered:
+            continue
+        covered |= {m.home_team, m.away_team}
+        toss = ["--home", m.home_team, "--away", m.away_team, "--venue", m.venue,
+                "--toss-winner", m.toss_winner, "--toss-decision", m.toss_decision]
+        code, out, err = run(capsys, "predict", "--model", str(path), *toss)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[2] == (
+            f"team weights: w1={last[m.home_team]!r} (home {m.home_team}), "
+            f"w2={last[m.away_team]!r} (away {m.away_team})")
+        assert run(capsys, "predict", "--model", str(old), *toss) == (0, out, "")
+    assert covered == set(last)
 
 
 class TestTeamWeights:

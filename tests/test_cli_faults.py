@@ -513,7 +513,8 @@ def repeat_last(doc):
 
 # (id, edits the per_match document?, edit of the document): a ledger whose
 # weights are not finite JSON numbers, whose mode is unknown, whose teams
-# and seasons are not strings and integers, or that holds a key twice. With
+# and seasons are not strings and integers, that holds a key twice, or
+# whose per_match as_of is not a YYYY-MM-DD date on every Python. With
 # an unknown mode a per_season document fails on its "season" as_of dates
 # anyway, so that row edits a per_match document.
 LEDGER_FAULTS = [
@@ -527,6 +528,9 @@ LEDGER_FAULTS = [
     ("season-boolean", False, set_first("season", True)),
     ("season-fraction", False, set_first("season", 2017.9)),
     ("team-number", False, set_first("team", 5)),
+    ("as_of-basic-format", True, set_first("as_of", "20180405")),
+    ("as_of-impossible-date", True, set_first("as_of", "2018-02-30")),
+    ("as_of-number", True, set_first("as_of", 20180405)),
 ]
 
 

@@ -269,6 +269,9 @@ class TestLedger:
                 assert full.weight_for(team, m) == alone.weight_for(team, m)
         restored = TeamWeightLedger.from_dict(full.to_dict())
         assert restored.entries == full.entries
+        # each team serves its 2018 weight, not its 2017 one of the same date
+        assert [row[:3] for row in full.latest().rows()] == [
+            ("CSK", 2018, "2018-01-05"), ("RR", 2018, "2018-01-05")]
 
     def test_round_trip_serialization(self):
         dataset = two_team_dataset([(2018, 6)])
