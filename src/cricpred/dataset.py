@@ -155,6 +155,16 @@ def _parse_int(value, column, rownum, path, minimum=None):
     return parsed
 
 
+def parse_date(text):
+    """The date a ``YYYY-MM-DD`` string names. Any other form is a
+    ValueError, including those Python 3.11's ``date.fromisoformat`` also
+    takes ("20160405", "2016-W14-2"); a non-string is a TypeError."""
+    date = dt.date.fromisoformat(text)
+    if date.isoformat() != text:
+        raise ValueError(f"{text!r} is not a YYYY-MM-DD date")
+    return date
+
+
 def load_matches(path) -> MatchDataset:
     """Load and validate a matches CSV, returning a date-sorted dataset.
 
@@ -172,7 +182,7 @@ def load_matches(path) -> MatchDataset:
         seen_ids[match_id] = rownum
         season = _parse_int(row["season"], "season", rownum, path)
         try:
-            date = dt.date.fromisoformat(row["date"].strip())
+            date = parse_date(row["date"].strip())
         except ValueError:
             raise InvalidRow(f"{path} row {rownum}: bad date {row['date']!r}") from None
         home = row["home_team"].strip()

@@ -32,7 +32,7 @@ import math
 import statistics
 from dataclasses import dataclass, field
 
-from .dataset import MatchDataset, MatchRecord
+from .dataset import MatchDataset, MatchRecord, parse_date
 from .errors import EmptyRoster, LedgerMiss, MissingRoster, ZeroAppearances
 from .scoring import PointsModel, score_player
 
@@ -105,7 +105,6 @@ class TeamWeightLedger:
         key given twice or, for ``per_match``, an ``as_of`` that is not a
         ``YYYY-MM-DD`` date (TypeError if it is not a string). A
         ``per_season`` row's ``as_of`` is not read."""
-        import datetime as dt
         entries = {}
         mode = doc["mode"]
         if mode not in (PER_SEASON, PER_MATCH):
@@ -121,11 +120,7 @@ class TeamWeightLedger:
             as_of = "season"
             if mode == PER_MATCH:
                 as_of = row["as_of"]
-                # only the form isoformat() writes: Python 3.11's
-                # fromisoformat also takes "20180405"; a non-string raises
-                if dt.date.fromisoformat(as_of).isoformat() != as_of:
-                    raise ValueError(f"team {team!r} has as_of {as_of!r}, "
-                                     "not a YYYY-MM-DD date")
+                parse_date(as_of)
             key = (team, season, as_of)
             if key in entries:
                 raise ValueError(f"the ledger holds team {team!r} at "

@@ -116,6 +116,29 @@ def separable_dataset(n=500, seed=0, margin=5.0):
                           row_ids=tuple(f"m{i}" for i in range(n)))
 
 
+def planted_signal_dataset(n=240, seed=0):
+    """Labels depend only on toss_decision and home_team_weight."""
+    rng = np.random.default_rng(seed)
+    schema = match_like_schema()
+    X = np.zeros((n, schema.total_columns))
+    slices = schema.group_slices()
+    for name, cats in schema.categorical_groups:
+        start, _ = slices[name]
+        picks = rng.integers(0, len(cats), size=n)
+        for i in range(n):
+            if picks[i] > 0:
+                X[i, start + picks[i] - 1] = 1.0
+    toss_col = slices["toss_decision"][0]
+    w1_col = slices["home_team_weight"][0]
+    w2_col = slices["away_team_weight"][0]
+    X[:, w1_col] = rng.normal(100, 15, n)
+    X[:, w2_col] = rng.normal(100, 15, n)
+    score = 0.3 * (X[:, w1_col] - 100) + 6.0 * X[:, toss_col] - 3.0
+    y = (score > 0).astype(np.int64)
+    return EncodedDataset(X=X, y=y, schema=schema,
+                          row_ids=tuple(f"m{i}" for i in range(n)))
+
+
 @pytest.fixture(scope="session")
 def separable():
     return separable_dataset()

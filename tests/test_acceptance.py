@@ -19,8 +19,8 @@ from cricpred.models import mlp_loss_and_gradient
 from cricpred.scoring import REFERENCE_POINTS_MODEL, fit_points_model
 from cricpred.strength import PER_MATCH
 
-from conftest import fixture_path, separable_dataset
-from test_features import all_teams_dataset, planted_signal_dataset
+from conftest import fixture_path, planted_signal_dataset, separable_dataset
+from test_features import all_teams_dataset
 from test_scoring import synthetic_players
 from test_strength import reference_roster, two_team_dataset, two_team_players
 

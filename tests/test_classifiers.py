@@ -1,5 +1,3 @@
-import hashlib
-import json
 import math
 
 import numpy as np
@@ -24,8 +22,8 @@ from cricpred.models.linear import (
 )
 from cricpred.models.mlp import HIDDEN_UNITS, flatten, init_params, unflatten
 
-from conftest import fixture_dataset, match_like_schema, separable_dataset
-from test_features import planted_signal_dataset
+from conftest import (fixture_dataset, match_like_schema, planted_signal_dataset,
+                      separable_dataset)
 
 ALL_KINDS = ["naive_bayes", "gradient_boosting", "linear_svm",
              "logistic_regression", "random_forest", "mlp"]
@@ -171,10 +169,8 @@ class TestPredictProba:
         data = fixture_dataset().subset(("home_team", "venue", "toss_decision"))
         assert not data.schema.numeric_features
         model = train(make_spec("naive_bayes"), data)
+        # its document is pinned in pinned.py's "classifiers" family
         doc = serialize(model)
-        digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode("utf-8"))
-        assert digest.hexdigest() == (
-            "d6a8ac91bce11e8b66538a5c092ccfd7881ab05f77ac81a271106b47748677e9")
         assert np.array_equal(deserialize(doc).model.predict_proba_matrix(data.X),
                               model.predict_proba_matrix(data.X))
 

@@ -1,5 +1,4 @@
 import csv
-import hashlib
 import json
 import shutil
 import warnings
@@ -13,6 +12,7 @@ from cricpred.models import FORMAT_VERSION
 from cricpred.strength import PER_MATCH, PER_SEASON, build_ledger
 
 from conftest import fixture_path
+from pinned import digest_test
 
 
 def run(capsys, *argv):
@@ -334,121 +334,5 @@ class TestCvAndReport:
         assert "2019" in err
 
 
-# sha256 of what ``cv --k 5``, ``report`` (of a model trained with
-# ``--holdout-season 2017``) and ``select-features --target-count 3`` print
-# and write on the fixture at the default seed. A last-digit change in any
-# printed or written metric fails here even where every bound still holds.
-OUTPUT_DIGESTS = {
-    ("cv", "naive_bayes"): {
-        "stdout":
-            "b67c9e432e3f8c022a0ba369fca5977be8f79277b5a835d2f649c6a6f13619fd",
-        "cv_report_naive_bayes.csv":
-            "4ad9a5fe10f72a47e1ce409df92b8f918f79dacc8e3416faa041b324b903e85c",
-    },
-    ("report", "naive_bayes"): {
-        "stdout":
-            "605be2f00f7477e6eee682c739ec6c950f3b838cea6ab9ef9e376b3ca4941976",
-        "holdout_report.csv":
-            "cd8bea9738e2b0c067121851dd8152d8ef6daf50f6f72b8430c658d6a4367474",
-        "holdout_predictions.csv":
-            "2be09d7c7da5829d1b9c813cf76c7137821a92e5100bb47a16fbfdb17a816d48",
-    },
-    ("cv", "gradient_boosting"): {
-        "stdout":
-            "72ade19de07d53dacbba19a0ff18edb9ae294b85e38936b9c1c947c217800fc3",
-        "cv_report_gradient_boosting.csv":
-            "d43cbf7ecf5c1af2be0ae3dcde15f50dffeaae3d65fef479cd3bb1e7e1e0b0fa",
-    },
-    ("report", "gradient_boosting"): {
-        "stdout":
-            "eebec3c2c34404c46472b0f91c91d767bf2d855932e4826bde402bfeaee1c233",
-        "holdout_report.csv":
-            "770d59d8844cc537769af7523c98b1c945a2af770a68880a7d7970ba659494f6",
-        "holdout_predictions.csv":
-            "1aab049272cac7d4a4ff877ba0d656855b52c31b311095f70b7a552ec3b878d4",
-    },
-    ("cv", "linear_svm"): {
-        "stdout":
-            "5316f6c597a93a04b94324b19aa3c964d1d2ce3062944d7822644cec7438b5be",
-        "cv_report_linear_svm.csv":
-            "01537a3230fd37460665c52850d8918e4a6058378d07842bf8bef59542996967",
-    },
-    ("report", "linear_svm"): {
-        "stdout":
-            "d97b0bea79ea6433e2dadbf5663c8f4e81bd4f91b12632777431e250b7d01841",
-        "holdout_report.csv":
-            "0e40b1850ce5e2b577e46afb2834adb0ae85b5db94e2b45cc357f06ac58016de",
-        "holdout_predictions.csv":
-            "fee6513bf3c95c645b664cc194f1d666f742ff4e681e82633fb5cb51f2dc1324",
-    },
-    ("cv", "logistic_regression"): {
-        "stdout":
-            "d2abce05cd59558f1e3724c1e7264720830a31d659f9af69ad9b67e3960d24ea",
-        "cv_report_logistic_regression.csv":
-            "01537a3230fd37460665c52850d8918e4a6058378d07842bf8bef59542996967",
-    },
-    ("report", "logistic_regression"): {
-        "stdout":
-            "7a4e35a47a838ff64dbab7d2baef6bc7133b7baf5c3eb5d33db447f0b69e2143",
-        "holdout_report.csv":
-            "0e40b1850ce5e2b577e46afb2834adb0ae85b5db94e2b45cc357f06ac58016de",
-        "holdout_predictions.csv":
-            "16aea974afc21790396f5f4337575239a6c7a16824243cfedd5de33d3949ea1d",
-    },
-    ("cv", "random_forest"): {
-        "stdout":
-            "f2534a238da133b1e49889cf0634daeccb330d3b36e47630bd494ce0bf3e53d6",
-        "cv_report_random_forest.csv":
-            "05e73fd17e935d9a9dc53d636f061ae86316130bcf1a0a4382ac0025f5927366",
-    },
-    ("report", "random_forest"): {
-        "stdout":
-            "cb1e24b26325f16e2eaa767fbe207c430217232aa23df4092a5e8e2da14ebe08",
-        "holdout_report.csv":
-            "67c9ed3929c9ae4d29f325d67d6b769be0769806ef08a7ad833977ff4b756381",
-        "holdout_predictions.csv":
-            "69c543f7df9e64c50160abbfd0d52784bdec9ee37a7d38993c7086c39bb8b126",
-    },
-    ("cv", "mlp"): {
-        "stdout":
-            "300039d05d1884d521258ae497169f82340b552651fdae07d641eaa24ee99f9e",
-        "cv_report_mlp.csv":
-            "ebbdd8a56fe3846d15f607bae0d52f07d630c4e1ad3ce23201350872efd5dbc4",
-    },
-    ("report", "mlp"): {
-        "stdout":
-            "db0ba9148460000cc7cd3c274f6f5a230c52d63fc2e22d0e0d265ca6c3879966",
-        "holdout_report.csv":
-            "46c00c1f14f2ae296865859d0c9adbc5d9ecfc2280a5391c6305109e34a73e9d",
-        "holdout_predictions.csv":
-            "5ac2af73f24feb241ae7ddb6beba6c87af3f9e08d00ef0bb574f10bbc63ef5d4",
-    },
-    ("select-features", None): {
-        "stdout":
-            "2c5242cd49eb8930cc48c2b8a2c0ce5ba25f65da5a63b7bb5847e19ab3e4b4db",
-        "feature_ranking.csv":
-            "f154c6635192e5e193a85cf76fc5f87cf4dc45412d263ed55b6eafba75ba9040",
-    },
-}
-
-
-@pytest.mark.parametrize("command, kind", list(OUTPUT_DIGESTS))
-def test_output_digests(capsys, tmp_path, data_args, command, kind):
-    if command == "cv":
-        argv = ["--kind", kind, "--k", "5"]
-    elif command == "report":
-        code, _, _ = run(capsys, "train", *data_args, "--kind", kind,
-                         "--holdout-season", "2017", "--out-dir", str(tmp_path))
-        assert code == 0
-        argv = ["--model", str(tmp_path / f"model_{kind}.json"),
-                "--holdout-season", "2017"]
-    else:
-        argv = ["--target-count", "3"]
-    code, out, _ = run(capsys, command, *data_args, *argv,
-                       "--out-dir", str(tmp_path))
-    assert code == 0
-    expected = OUTPUT_DIGESTS[command, kind]
-    got = {name: hashlib.sha256(out.encode() if name == "stdout"
-                                else (tmp_path / name).read_bytes()).hexdigest()
-           for name in expected}
-    assert got == expected
+# what cv, report and select-features print and write on the fixture
+test_output_digests = digest_test("output")

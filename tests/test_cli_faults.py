@@ -648,6 +648,16 @@ def test_error_family_exit_code(code, name):
     assert getattr(errors, name).exit_code == code
 
 
+# Python 3.11's date.fromisoformat reads both forms as 2017-05-01
+@pytest.mark.parametrize("date", ["20170501", "2017-W18-1"])
+def test_matches_date_other_than_yyyy_mm_dd_exit_2(capsys, tmp_path, date):
+    matches = appended(tmp_path, MATCHES,
+                       f"x1,2017,{date},CSK,RR,Wankhede Stadium,CSK,bat,CSK")
+    assert main(["ingest", "--matches", matches, "--players", PLAYERS]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {matches} row 68: bad date {date!r}\n"
+
+
 def test_config_errors_name_the_key(capsys, tmp_path):
     assert main(["train", "--config", config(tmp_path, "colour = red\n")]) == 2
     assert "'colour'" in capsys.readouterr().err

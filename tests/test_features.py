@@ -1,6 +1,4 @@
-import dataclasses
 import datetime as dt
-import hashlib
 import itertools
 import warnings
 
@@ -21,7 +19,8 @@ from cricpred.features import (
 from cricpred.scoring import REFERENCE_POINTS_MODEL
 from cricpred.strength import PER_MATCH, PER_SEASON, build_ledger
 
-from conftest import fixture_dataset, match_like_schema
+from conftest import fixture_dataset, match_like_schema, planted_signal_dataset
+from pinned import digest_test
 
 
 def make_match(i, home, away, toss, decision, venue, winner, season=2018):
@@ -207,29 +206,6 @@ def _perf(team, season=2018):
                              sixes=2, catches=1, stumpings=0)
 
 
-def planted_signal_dataset(n=240, seed=0):
-    """Labels depend only on toss_decision and home_team_weight."""
-    rng = np.random.default_rng(seed)
-    schema = match_like_schema()
-    X = np.zeros((n, schema.total_columns))
-    slices = schema.group_slices()
-    for name, cats in schema.categorical_groups:
-        start, _ = slices[name]
-        picks = rng.integers(0, len(cats), size=n)
-        for i in range(n):
-            if picks[i] > 0:
-                X[i, start + picks[i] - 1] = 1.0
-    toss_col = slices["toss_decision"][0]
-    w1_col = slices["home_team_weight"][0]
-    w2_col = slices["away_team_weight"][0]
-    X[:, w1_col] = rng.normal(100, 15, n)
-    X[:, w2_col] = rng.normal(100, 15, n)
-    score = 0.3 * (X[:, w1_col] - 100) + 6.0 * X[:, toss_col] - 3.0
-    y = (score > 0).astype(np.int64)
-    return EncodedDataset(X=X, y=y, schema=schema,
-                          row_ids=tuple(f"m{i}" for i in range(n)))
-
-
 class TestRfe:
     def test_planted_signal_selected(self):
         result = rfe_select(planted_signal_dataset(), target_count=2,
@@ -280,23 +256,5 @@ class TestRfe:
         assert reduced.X.shape == (data.X.shape[0], 2)
 
 
-# sha256 of the ``repr`` of every ``RfeResult`` field, one per line:
-# (dataset, target_count, resamples, seed) -> digest. Any change to the
-# ranking, a subset's CV accuracy (to the last bit) or a bootstrap pick
-# changes it.
-RFE_DIGESTS = {
-    ("fixture_" + PER_SEASON, 3, 5, 0): "44ecc020bf7f5bfb9b1d971069bed6ce71973c8d2f5d123caa149a576d3d186d",
-    ("fixture_" + PER_MATCH, 3, 5, 0): "3a08b0a15e431965768aa69257f8821b9cf0a8c614296a20741fb3fa81b63a75",
-    ("planted", 2, 5, 0): "307989caa2339b7f38199f1ab617a0781a2dffa8b426d1ed1a600fa33d4ff289",
-}
-
-
-@pytest.mark.parametrize("case", list(RFE_DIGESTS), ids=lambda c: c[0])
-def test_rfe_result_digest(case):
-    source, target, resamples, seed = case
-    data = (planted_signal_dataset() if source == "planted"
-            else fixture_dataset(mode=source.removeprefix("fixture_")))
-    result = rfe_select(data, target, resamples=resamples, seed=seed)
-    text = "\n".join(repr(getattr(result, f.name))
-                     for f in dataclasses.fields(result))
-    assert hashlib.sha256(text.encode()).hexdigest() == RFE_DIGESTS[case]
+# rfe_select's result on the fixture in both modes and on the planted data
+test_rfe_result_digest = digest_test("rfe")

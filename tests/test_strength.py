@@ -1,6 +1,4 @@
 import datetime as dt
-import hashlib
-import json
 
 import pytest
 
@@ -17,6 +15,7 @@ from cricpred.strength import (
 from cricpred.dataset import MatchRecord, load_matches, load_player_performances
 
 from conftest import fixture_path
+from pinned import digest_test
 
 
 def player(name, appearances, dot_balls, season=2018, team="CSK", **stats):
@@ -284,20 +283,8 @@ class TestLedger:
             assert restored.mode == ledger.mode
 
 
-# sha256 of the sorted-key JSON of the fixture's ``TeamWeightLedger.to_dict()``
-LEDGER_DIGESTS = {
-    PER_SEASON: "bb3bbbd8997f5074260ef011b75b5a0bb790c0ea577403cd48590ee036580083",
-    PER_MATCH: "2316f2b47771e549592a04b4b151b4912384f94a65c1f74eca550aa9ba0d56df",
-}
-
-
-@pytest.mark.parametrize("mode", list(LEDGER_DIGESTS))
-def test_fixture_ledger_digest(mode):
-    ledger = build_ledger(REFERENCE_POINTS_MODEL,
-                          load_player_performances(fixture_path("players.csv")),
-                          load_matches(fixture_path("matches.csv")), mode=mode)
-    blob = json.dumps(ledger.to_dict(), sort_keys=True).encode()
-    assert hashlib.sha256(blob).hexdigest() == LEDGER_DIGESTS[mode]
+# the sorted-key JSON of the fixture's ``TeamWeightLedger.to_dict()``
+test_fixture_ledger_digest = digest_test("ledger")
 
 
 @pytest.mark.parametrize("mode", [PER_SEASON, PER_MATCH])
