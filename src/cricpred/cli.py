@@ -180,6 +180,9 @@ def _training_seasons(dataset, holdout_season):
 def cmd_train(args):
     dataset, players = _load_inputs(args)
     training = dataset.restrict(_training_seasons(dataset, args.holdout_season))
+    if args.holdout_season is not None:
+        # the points model sees no player row of the holdout season or later
+        players = [p for p in players if p.season < args.holdout_season]
     encoded, points, ledger, origin = _encoded_dataset(args, training, players)
     if args.target_count is not None:
         # the ranking alone: select-features prints the subset scores

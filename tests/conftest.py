@@ -4,10 +4,11 @@ import importlib.resources
 import numpy as np
 import pytest
 
+from cricpred.cli import main
 from cricpred.dataset import load_matches, load_player_performances
 from cricpred.features import EncodedDataset, FeatureSchema, build_schema, encode
 from cricpred.scoring import REFERENCE_POINTS_MODEL
-from cricpred.strength import PER_SEASON, build_ledger
+from cricpred.strength import PER_MATCH, PER_SEASON, build_ledger
 
 
 def fixture_path(name):
@@ -74,6 +75,23 @@ def matches_csv():
 @pytest.fixture(scope="session")
 def players_csv():
     return fixture_path("players.csv")
+
+
+@pytest.fixture(scope="session")
+def trained(tmp_path_factory):
+    """``trained(kind, mode)``: the path of the document that ``train --kind
+    all --mode mode`` writes for the fixture, by default the ``per_season``
+    logistic regression. Each mode is trained once a session; a test that
+    edits a document edits a copy."""
+    out = tmp_path_factory.mktemp("trained")
+    for mode in (PER_SEASON, PER_MATCH):
+        assert main(["train", "--matches", fixture_path("matches.csv"),
+                     "--players", fixture_path("players.csv"), "--kind", "all",
+                     "--mode", mode, "--out-dir", str(out / mode)]) == 0
+
+    def document(kind="logistic_regression", mode=PER_SEASON):
+        return str(out / mode / f"model_{kind}.json")
+    return document
 
 
 def match_like_schema(n_teams=4, n_venues=3):

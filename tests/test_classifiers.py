@@ -29,20 +29,7 @@ ALL_KINDS = ["naive_bayes", "gradient_boosting", "linear_svm",
              "logistic_regression", "random_forest", "mlp"]
 
 
-def training_accuracy(model, data):
-    probs = model.predict_proba_matrix(data.X)
-    return float(np.mean((probs >= 0.5).astype(int) == data.y))
-
-
 class TestTrain:
-    @pytest.mark.parametrize("kind,floor", [
-        ("logistic_regression", 0.95), ("linear_svm", 0.95), ("mlp", 0.95),
-        ("random_forest", 0.95), ("gradient_boosting", 0.95),
-        ("naive_bayes", 0.90)])
-    def test_separable_accuracy(self, separable, kind, floor):
-        model = train(make_spec(kind), separable)
-        assert training_accuracy(model, separable) >= floor
-
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_single_class_rejected(self, separable, kind):
         bad = EncodedDataset(X=separable.X, y=np.ones_like(separable.y),

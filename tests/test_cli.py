@@ -1,7 +1,7 @@
 import csv
 import json
-import shutil
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -9,10 +9,12 @@ from cricpred.cli import _one_line_unseen, _points_model, main
 from cricpred.dataset import load_matches, load_player_performances
 from cricpred.errors import UnseenCategory
 from cricpred.models import FORMAT_VERSION
+from cricpred.scoring import fit_points_model
 from cricpred.strength import PER_MATCH, PER_SEASON, build_ledger
 
 from conftest import fixture_path
 from pinned import digest_test
+from test_cli_faults import fault
 
 
 def run(capsys, *argv):
@@ -35,62 +37,47 @@ class TestIngest:
                                     "200 player-season rows loaded",
                                     "6 venues, seasons [2016, 2017]"]
 
-    def test_malformed_header_exit_2(self, capsys, tmp_path, data_args):
-        bad = tmp_path / "matches.csv"
-        bad.write_text("match_id,season,date\n", encoding="utf-8")
-        code, _, err = run(capsys, "ingest", "--matches", str(bad),
-                           "--players", data_args[3])
-        assert code == 2
-        assert "header lacks column" in err
+    def test_malformed_header_exit_2(self, capsys, tmp_path, trained):
+        fault(capsys, tmp_path, trained, "ingest-malformed-header")
 
-    def test_empty_players_exit_2(self, capsys, tmp_path, data_args):
-        empty = tmp_path / "players.csv"
-        with open(fixture_path("players.csv"), encoding="utf-8") as fh:
-            empty.write_text(fh.readline(), encoding="utf-8")
-        code, _, err = run(capsys, "ingest", "--matches", data_args[1],
-                           "--players", str(empty))
-        assert code == 2
-        assert "no rows" in err
 
-    def test_missing_matches_flag(self, capsys):
-        code, _, err = run(capsys, "ingest")
-        assert code == 2
-        assert "--matches" in err
+def official_players(tmp_path, rows=None, stumpings=None):
+    """A copy of the fixture's players CSV with official points on the
+    first ``rows`` player rows (all when None), and with every
+    ``stumpings`` replaced when it is given."""
+    with open(fixture_path("players.csv"), newline="", encoding="utf-8") as fh:
+        players = list(csv.DictReader(fh))
+    for i, row in enumerate(players):
+        if stumpings is not None:
+            row["stumpings"] = stumpings
+        if rows is None or i < rows:
+            row["official_points"] = str(
+                25 * int(row["wickets"]) + int(row["dot_balls"])
+                + 4 * int(row["fours"]) + 6 * int(row["sixes"])
+                + 8 * int(row["catches"]) + 12 * int(row["stumpings"]) + i % 5)
+    path = tmp_path / "players.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(players[0]))
+        writer.writeheader()
+        writer.writerows(players)
+    return str(path)
 
 
 class TestTrain:
-    def test_byte_identical_across_runs(self, capsys, tmp_path, data_args):
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        for out in (out1, out2):
-            code, _, _ = run(capsys, "train", *data_args, "--kind",
-                             "logistic_regression", "--seed", "0",
-                             "--out-dir", str(out))
-            assert code == 0
-        a = (out1 / "model_logistic_regression.json").read_bytes()
-        b = (out2 / "model_logistic_regression.json").read_bytes()
-        assert a == b
-
-    def test_kind_all_writes_six_documents(self, capsys, tmp_path, data_args):
-        code, out, _ = run(capsys, "train", *data_args, "--kind", "all",
-                           "--out-dir", str(tmp_path))
-        assert code == 0
-        written = sorted(p.name for p in tmp_path.glob("model_*.json"))
+    def test_kind_all_writes_six_documents(self, trained):
+        out = Path(trained()).parent
+        written = sorted(p.name for p in out.glob("model_*.json"))
         assert written == [
             "model_gradient_boosting.json", "model_linear_svm.json",
             "model_logistic_regression.json", "model_mlp.json",
             "model_naive_bayes.json", "model_random_forest.json"]
-        for path in tmp_path.glob("model_*.json"):
+        for path in out.glob("model_*.json"):
             doc = json.loads(path.read_text(encoding="utf-8"))
             assert doc["format_version"] == FORMAT_VERSION
             assert doc["team_weights"] is not None
 
-    def test_holdout_covers_all_seasons_exit_3(self, capsys, tmp_path,
-                                               data_args):
-        code, _, err = run(capsys, "train", *data_args, "--kind", "mlp",
-                           "--holdout-season", "2016",
-                           "--out-dir", str(tmp_path))
-        assert code == 3
-        assert "holdout season 2016" in err
+    def test_holdout_covers_all_seasons_exit_3(self, capsys, tmp_path, trained):
+        fault(capsys, tmp_path, trained, "train-holdout-covers-every-season")
 
     def test_config_file_supplies_paths(self, capsys, tmp_path, data_args):
         cfg = tmp_path / "run.cfg"
@@ -102,13 +89,8 @@ class TestTrain:
         assert code == 0
         assert (tmp_path / "model_naive_bayes.json").exists()
 
-    def test_unknown_config_key_exit_2(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("bogus = 1\n", encoding="utf-8")
-        code, _, err = run(capsys, "train", "--config", str(cfg))
-        assert code == 2
-        assert "bogus" in err
-
+    def test_unknown_config_key_exit_2(self, capsys, tmp_path, trained):
+        fault(capsys, tmp_path, trained, "train-config-unknown-key")
 
     @pytest.mark.parametrize("rows, stumpings, origin", [
         (None, None, "fitted"),
@@ -117,40 +99,31 @@ class TestTrain:
     ])
     def test_points_model_origin(self, capsys, tmp_path, data_args, rows,
                                  stumpings, origin):
-        """Official points on the first ``rows`` player rows (all when
-        None), with every ``stumpings`` replaced when it is given."""
-        with open(fixture_path("players.csv"), newline="", encoding="utf-8") as fh:
-            players = list(csv.DictReader(fh))
-        for i, row in enumerate(players):
-            if stumpings is not None:
-                row["stumpings"] = stumpings
-            if rows is None or i < rows:
-                row["official_points"] = str(
-                    25 * int(row["wickets"]) + int(row["dot_balls"])
-                    + 4 * int(row["fours"]) + 6 * int(row["sixes"])
-                    + 8 * int(row["catches"]) + 12 * int(row["stumpings"]) + i % 5)
-        path = tmp_path / "players.csv"
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(players[0]))
-            writer.writeheader()
-            writer.writerows(players)
-        code, out, _ = run(capsys, "train", "--matches", data_args[1],
-                           "--players", str(path), "--kind", "naive_bayes",
-                           "--out-dir", str(tmp_path))
+        code, out, _ = run(capsys, "train", "--matches", data_args[1], "--players",
+                           official_players(tmp_path, rows, stumpings),
+                           "--kind", "naive_bayes", "--out-dir", str(tmp_path))
         assert code == 0
         assert f"points model: {origin})" in out
 
+    def test_holdout_season_is_not_in_the_points_fit(self, capsys, tmp_path,
+                                                     data_args):
+        """With ``--holdout-season``, the points model is fitted on the
+        player rows of the earlier seasons only."""
+        path = official_players(tmp_path)
+        code, _, _ = run(capsys, "train", "--matches", data_args[1], "--players", path,
+                         "--kind", "naive_bayes", "--holdout-season", "2017",
+                         "--out-dir", str(tmp_path))
+        assert code == 0
+        doc = json.loads((tmp_path / "model_naive_bayes.json").read_text(encoding="utf-8"))
+        players = load_player_performances(path)
+        earlier = fit_points_model([p for p in players if p.season < 2017])
+        assert doc["points_model"] == earlier.to_dict()
+        assert earlier != fit_points_model(players)
+
 
 class TestPredict:
-    @pytest.fixture()
-    def model_path(self, capsys, tmp_path, data_args):
-        code, _, _ = run(capsys, "train", *data_args, "--kind",
-                         "logistic_regression", "--out-dir", str(tmp_path))
-        assert code == 0
-        return str(tmp_path / "model_logistic_regression.json")
-
-    def test_fixture_weights_in_output(self, capsys, model_path):
-        code, out, _ = run(capsys, "predict", "--model", model_path,
+    def test_fixture_weights_in_output(self, capsys, trained):
+        code, out, _ = run(capsys, "predict", "--model", trained(),
                            "--home", "CSK", "--away", "RR",
                            "--venue", "Dr DY Patil Sports Academy",
                            "--toss-winner", "CSK", "--toss-decision", "bat")
@@ -159,19 +132,20 @@ class TestPredict:
         assert "w2=123.65625 (away RR)" in out
         assert "predicted winner:" in out
 
-    def test_bad_toss_winner_exit_4(self, capsys, model_path):
-        code, _, err = run(capsys, "predict", "--model", model_path,
-                           "--home", "CSK", "--away", "RR",
-                           "--venue", "Dr DY Patil Sports Academy",
-                           "--toss-winner", "MI", "--toss-decision", "bat")
-        assert code == 4
-        assert "toss_winner" in err
+    def test_bad_toss_winner_exit_4(self, capsys, tmp_path, trained):
+        fault(capsys, tmp_path, trained, "predict-toss-winner-not-playing")
 
-    def test_unseen_venue_warns_but_predicts(self, capsys, model_path):
+    def test_team_without_ledger_entry_exit_4(self, capsys, tmp_path, trained):
+        fault(capsys, tmp_path, trained, "predict-team-absent-from-ledger")
+
+    def test_corrupt_model_exit_3(self, capsys, tmp_path, trained):
+        fault(capsys, tmp_path, trained, "predict-truncated-document")
+
+    def test_unseen_venue_warns_but_predicts(self, capsys, trained):
         """One ``warning:`` line, even where every warning is an error."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, out, err = run(capsys, "predict", "--model", model_path,
+            code, out, err = run(capsys, "predict", "--model", trained(),
                                  "--home", "CSK", "--away", "RR",
                                  "--venue", "Brand New Stadium",
                                  "--toss-winner", "RR",
@@ -181,50 +155,22 @@ class TestPredict:
         assert err == ("warning: unseen venue category 'Brand New Stadium'; "
                        "encoding as the dropped category\n")
 
-    def test_team_without_ledger_entry_exit_4(self, capsys, model_path):
-        code, _, err = run(capsys, "predict", "--model", model_path,
-                           "--home", "SRH", "--away", "RR",
-                           "--venue", "Dr DY Patil Sports Academy",
-                           "--toss-winner", "SRH", "--toss-decision", "bat")
-        assert code == 4
-        assert "SRH" in err
-
-    def test_away_team_without_ledger_entry_exit_4(self, capsys, model_path):
-        code, _, err = run(capsys, "predict", "--model", model_path,
-                           "--home", "CSK", "--away", "SRH",
-                           "--venue", "Dr DY Patil Sports Academy",
-                           "--toss-winner", "CSK", "--toss-decision", "bat")
-        assert code == 4
-        assert err == ("error: team SRH is absent from the model's weight "
-                       "ledger and no cold-start data exists\n")
-
-    def test_no_state_between_calls(self, capsys, tmp_path, model_path):
+    def test_no_state_between_calls(self, capsys, tmp_path, trained):
         """One process, one parser: a ``--model`` read from ``--config``
         does not stay for the next call, and a usage error does not stop
         the call after it."""
         toss = ["--home", "CSK", "--away", "RR", "--toss-winner", "CSK",
                 "--venue", "Dr DY Patil Sports Academy", "--toss-decision", "bat"]
         cfg = tmp_path / "predict.cfg"
-        cfg.write_text(f"model = {model_path}\n", encoding="utf-8")
+        cfg.write_text(f"model = {trained()}\n", encoding="utf-8")
         code, out, _ = run(capsys, "predict", "--config", str(cfg), *toss)
         assert code == 0 and out.startswith("predicted winner:")
         code, out, err = run(capsys, "predict", *toss)
         assert code == 2 and out == ""
         assert err.startswith("usage: ")
         assert "the following arguments are required: --model" in err
-        code, out, _ = run(capsys, "predict", "--model", model_path, *toss)
+        code, out, _ = run(capsys, "predict", "--model", trained(), *toss)
         assert code == 0 and out.startswith("predicted winner:")
-
-    def test_corrupt_model_exit_3(self, capsys, tmp_path, model_path):
-        broken = tmp_path / "broken.json"
-        with open(model_path, encoding="utf-8") as fh:
-            blob = fh.read()
-        broken.write_text(blob[: len(blob) // 3], encoding="utf-8")
-        code, _, err = run(capsys, "predict", "--model", str(broken),
-                           "--home", "CSK", "--away", "RR",
-                           "--venue", "Dr DY Patil Sports Academy",
-                           "--toss-winner", "CSK", "--toss-decision", "bat")
-        assert code == 3
 
 
 def test_unseen_category_shown_once_per_message(capsys):
@@ -322,17 +268,8 @@ class TestCvAndReport:
         assert set(preds[0]) == {"match_id", "probability", "predicted",
                                  "actual"}
 
-    def test_report_missing_season_exit_2(self, capsys, tmp_path, data_args):
-        code, _, _ = run(capsys, "train", *data_args, "--kind", "naive_bayes",
-                         "--out-dir", str(tmp_path))
-        assert code == 0
-        code, _, err = run(capsys, "report", *data_args,
-                           "--model", str(tmp_path / "model_naive_bayes.json"),
-                           "--holdout-season", "2019",
-                           "--out-dir", str(tmp_path))
-        assert code == 2
-        assert "2019" in err
-
+    def test_report_missing_season_exit_2(self, capsys, tmp_path, trained):
+        fault(capsys, tmp_path, trained, "report-season-without-matches")
 
 # what cv, report and select-features print and write on the fixture
 test_output_digests = digest_test("output")

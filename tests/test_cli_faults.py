@@ -1,6 +1,8 @@
-"""Fault injection: each row breaks one input of one subcommand and pins the
-exit code of its error family. No row may end in a traceback, and every
-error that is not an argparse usage error is one ``error: ...`` line."""
+"""Fault injection, the command line's one fault contract: each row breaks
+one input of one subcommand and pins the exit code of its error family,
+and a row may pin a piece of the message. No row may end in a traceback,
+and every error that is not an argparse usage error is one ``error: ...``
+line."""
 
 import base64
 import functools
@@ -15,7 +17,7 @@ import pytest
 
 from cricpred import errors
 from cricpred.cli import main
-from cricpred.models import KINDS
+from cricpred.strength import PER_MATCH, PER_SEASON
 
 from conftest import fixture_path, stored_lists, stored_strings, table_lists
 
@@ -24,6 +26,20 @@ PLAYERS = fixture_path("players.csv")
 DATA = ["--matches", MATCHES, "--players", PLAYERS]
 TOSS = ["--venue", "Dr DY Patil Sports Academy", "--toss-decision", "bat"]
 ENSEMBLES = ("random_forest", "gradient_boosting")
+
+
+def fails(capsys, argv, code, message=None, usage=False):
+    """``main(argv)`` exits ``code`` without a traceback. An argparse usage
+    error prints its usage line first; any other failure is one ``error:
+    ...`` line. ``message``, when given, is part of stderr."""
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if usage:
+        assert "error:" in err
+    else:
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    assert message is None or message in err, err
 
 
 def predict(model, home="CSK", away="RR", toss_winner="CSK"):
@@ -57,26 +73,42 @@ def truncated(tmp, model):
     return write(tmp, "truncated.json", blob[: len(blob) // 3])
 
 
-def washouts(tmp, season):
-    """A copy of the matches CSV whose ``season`` rows have no winner."""
-    lines = Path(MATCHES).read_text(encoding="utf-8").splitlines()
-    return write(tmp, "washouts.csv", "".join(
-        (line.rsplit(",", 1)[0] + "," if line.split(",")[1] == season else line)
-        + "\n" for line in lines))
+def rewritten(tmp, csv_path, edit):
+    """A copy of the CSV whose rows after the header are ``edit(rows)``."""
+    header, *rows = Path(csv_path).read_text(encoding="utf-8").splitlines()
+    return write(tmp, f"edited_{Path(csv_path).name}",
+                 "".join(f"{line}\n" for line in [header, *edit(rows)]))
 
 
-def all_washouts(tmp):
-    """A copy of the matches CSV in which no match has a winner."""
-    header, *lines = Path(MATCHES).read_text(encoding="utf-8").splitlines()
-    return write(tmp, "all_washouts.csv", "".join(
-        f"{line}\n" for line in [header] + [row.rsplit(",", 1)[0] + "," for row in lines]))
+def appended(tmp, csv_path, row):
+    """A copy of the CSV with ``row`` as one more row."""
+    return rewritten(tmp, csv_path, lambda rows: [*rows, row])
 
 
-def first_row_ends(tmp, text):
-    """A copy of the matches CSV whose first match row ends in ``text``."""
-    header, first, *rest = Path(MATCHES).read_text(encoding="utf-8").splitlines()
-    return write(tmp, "first_row.csv", "".join(
-        f"{line}\n" for line in [header, first + text, *rest]))
+def washouts(tmp, *seasons):
+    """A copy of the matches CSV whose rows of ``seasons`` have no winner."""
+    return rewritten(tmp, MATCHES, lambda rows: [
+        row.rsplit(",", 1)[0] + "," if row.split(",")[1] in seasons else row
+        for row in rows])
+
+
+def alike(rows):
+    """The 2016 rows as CSK v RR at one venue, CSK winning the toss and
+    batting: every row encodes the same, and the winners alternate."""
+    return [",".join([*row.split(",")[:3], "CSK", "RR", "Eden Gardens", "CSK",
+                      "bat", ("CSK", "RR")[i % 2]])
+            for i, row in enumerate(r for r in rows if r.split(",")[1] == "2016")]
+
+
+def official_points(tmp, value, stumpings=None):
+    """A copy of the players CSV in which every row has official points, the
+    first row ``value``; the fixture's rows leave the column empty. With
+    ``stumpings``, every row has that many stumpings."""
+    def edit(rows):
+        if stumpings is not None:
+            rows = [",".join([*row.split(",")[:9], stumpings, ""]) for row in rows]
+        return [rows[0] + value] + [row + str(i) for i, row in enumerate(rows[1:])]
+    return rewritten(tmp, PLAYERS, edit)
 
 
 def nested(tmp):
@@ -97,47 +129,21 @@ def latin1(tmp, csv_path):
     return str(path)
 
 
-def appended(tmp, csv_path, row):
-    """A copy of the CSV with ``row`` as one more row."""
-    path = tmp / f"appended_{Path(csv_path).name}"
-    path.write_text(Path(csv_path).read_text(encoding="utf-8") + row + "\n",
-                    encoding="utf-8")
-    return str(path)
+def beside(model, kind):
+    """The document of ``kind`` that the run that wrote ``model`` wrote
+    beside it."""
+    return str(Path(model).with_name(f"model_{kind}.json"))
 
 
-def official_points(tmp, value):
-    """A copy of the players CSV in which every row has official points, the
-    first row ``value``; the fixture's rows leave the column empty."""
-    header, *rows = Path(PLAYERS).read_text(encoding="utf-8").splitlines()
-    return write(tmp, "official.csv", "".join(
-        f"{line}\n" for line in [header, rows[0] + value]
-        + [row + str(i) for i, row in enumerate(rows[1:])]))
+def set_in(section, key, value):
+    def edit(doc):
+        doc[section][key] = value
+    return edit
 
 
-@pytest.fixture(scope="module")
-def model(tmp_path_factory):
-    out = tmp_path_factory.mktemp("model")
-    assert main(["train", *DATA, "--kind", "logistic_regression",
-                 "--out-dir", str(out)]) == 0
-    return str(out / "model_logistic_regression.json")
-
-
-@pytest.fixture(scope="module")
-def per_match_model(tmp_path_factory):
-    out = tmp_path_factory.mktemp("per_match_model")
-    assert main(["train", *DATA, "--kind", "logistic_regression", "--mode",
-                 "per_match", "--out-dir", str(out)]) == 0
-    return str(out / "model_logistic_regression.json")
-
-
-@pytest.fixture(scope="module")
-def documents(tmp_path_factory):
-    out = tmp_path_factory.mktemp("documents")
-    assert main(["train", *DATA, "--kind", "all", "--out-dir", str(out)]) == 0
-    return {kind: str(out / f"model_{kind}.json") for kind in KINDS}
-
-
-# (id, expected exit code, argparse usage error?, argv from (tmp_path, model))
+# (id, expected exit code, argparse usage error?, argv from (tmp_path,
+# model)[, part of stderr]); the model is the fixture's per_season
+# logistic regression document
 FAULTS = [
     # missing or unreadable files: OSError -> 2
     ("ingest-missing-matches", 2, False,
@@ -157,7 +163,7 @@ FAULTS = [
     # malformed inputs: IngestionError and validation errors -> 2
     ("ingest-malformed-header", 2, False,
      lambda t, m: ["ingest", "--matches", write(t, "m.csv", "match_id,season\n"),
-                   "--players", PLAYERS]),
+                   "--players", PLAYERS], "header lacks column"),
     ("ingest-matches-not-utf8", 2, False,
      lambda t, m: ["ingest", "--matches", latin1(t, MATCHES), "--players", PLAYERS]),
     ("train-players-not-utf8", 2, False,
@@ -180,13 +186,37 @@ FAULTS = [
     ("ingest-empty-player", 2, False,
      lambda t, m: ["ingest", "--matches", MATCHES,
                    "--players", appended(t, PLAYERS, "2017,CSK,,3,1,1,1,1,1,0,")]),
+    # Python 3.11's date.fromisoformat reads both dates as 2017-05-01
+    ("ingest-date-20170501", 2, False,
+     lambda t, m: ["ingest", "--matches", appended(
+         t, MATCHES, "x1,2017,20170501,CSK,RR,Wankhede Stadium,CSK,bat,CSK"),
+                   "--players", PLAYERS],
+     "edited_matches.csv row 68: bad date '20170501'"),
+    ("ingest-date-2017-W18-1", 2, False,
+     lambda t, m: ["ingest", "--matches", appended(
+         t, MATCHES, "x1,2017,2017-W18-1,CSK,RR,Wankhede Stadium,CSK,bat,CSK"),
+                   "--players", PLAYERS],
+     "edited_matches.csv row 68: bad date '2017-W18-1'"),
+    ("ingest-unknown-team", 2, False,
+     lambda t, m: ["ingest", "--matches", appended(
+         t, MATCHES, "x1,2017,2017-05-01,CSK,ZZZ,Wankhede Stadium,CSK,bat,CSK"),
+                   "--players", PLAYERS], "row 68: unknown team acronym 'ZZZ'"),
+    ("ingest-negative-wickets", 2, False,
+     lambda t, m: ["ingest", "--matches", MATCHES, "--players",
+                   appended(t, PLAYERS, "2017,CSK,Zed,3,-1,1,1,1,1,0,")],
+     "row 202: wickets=-1 below 0"),
+    ("ingest-player-twice", 2, False,
+     lambda t, m: ["ingest", "--matches", MATCHES, "--players",
+                   rewritten(t, PLAYERS, lambda rows: [*rows, rows[0]])],
+     "row 202: duplicate player 'CSK2016P01' for CSK 2016 (first seen at row 2)"),
     # rows the csv module cannot read -> 2
     ("ingest-field-over-size-limit", 2, False,
      lambda t, m: ["ingest", "--matches", appended(
          t, MATCHES, "x1,2017,2017-05-01,CSK,RR," + "V" * 200_000 + ",CSK,bat,CSK"),
                    "--players", PLAYERS]),
     ("ingest-unterminated-quote", 2, False,
-     lambda t, m: ["ingest", "--matches", first_row_ends(t, ',"unterminated'),
+     lambda t, m: ["ingest", "--matches", rewritten(
+         t, MATCHES, lambda rows: [rows[0] + ',"unterminated', *rows[1:]]),
                    "--players", PLAYERS]),
     ("ingest-text-after-closing-quote", 2, False,
      lambda t, m: ["ingest", "--matches", appended(
@@ -204,15 +234,31 @@ FAULTS = [
     ("train-official-points-inf", 2, False,
      lambda t, m: ["train", "--matches", MATCHES, "--players",
                    official_points(t, "inf"), "--out-dir", str(t)]),
+    # no row has a stumping, so that column of the regression is all zero
+    ("fit-points-rank-deficient", 2, False,
+     lambda t, m: ["fit-points", "--matches", MATCHES, "--players",
+                   official_points(t, "0", stumpings="0")],
+     "column 'stumpings' is linearly dependent"),
     ("fit-points-no-player-rows", 2, False,
      lambda t, m: ["fit-points", "--matches", MATCHES, "--players",
-                   write(t, "p.csv",
-                         Path(PLAYERS).read_text(encoding="utf-8").splitlines()[0])]),
+                   rewritten(t, PLAYERS, lambda rows: [])]),
+    ("ingest-no-player-rows", 2, False,
+     lambda t, m: ["ingest", "--matches", MATCHES, "--players",
+                   rewritten(t, PLAYERS, lambda rows: [])], "players file has no rows"),
+    ("train-team-season-without-player-rows", 2, False,
+     lambda t, m: ["train", "--matches", MATCHES, "--players", rewritten(
+         t, PLAYERS, lambda rows: [r for r in rows if not r.startswith("2017,RR,")]),
+                   "--out-dir", str(t)],
+     "no performance rows for team RR in season 2017"),
+    ("select-features-18-matches", 2, False,
+     lambda t, m: ["select-features", "--matches",
+                   rewritten(t, MATCHES, lambda rows: rows[:18]), "--players", PLAYERS,
+                   "--out-dir", str(t)], "need at least 20 rows, got 16"),
     ("train-target-count-99", 2, False,
      lambda t, m: ["train", *DATA, "--target-count", "99", "--out-dir", str(t)]),
     ("report-season-without-matches", 2, False,
      lambda t, m: ["report", *DATA, "--model", m, "--holdout-season", "2019",
-                   "--out-dir", str(t)]),
+                   "--out-dir", str(t)], "no decisive matches in holdout season 2019"),
     ("report-season-without-decisive-matches", 2, False,
      lambda t, m: ["report", "--matches", washouts(t, "2017"), "--players", PLAYERS,
                    "--model", m, "--holdout-season", "2017", "--out-dir", str(t)]),
@@ -226,17 +272,21 @@ FAULTS = [
     ("train-config-kind-bogus", 2, True,
      lambda t, m: ["train", "--config", config(t, "kind = bogus\n")]),
     ("train-config-unknown-key", 2, False,
-     lambda t, m: ["train", "--config", config(t, "colour = red\n")]),
+     lambda t, m: ["train", "--config", config(t, "colour = red\n")],
+     "unknown config key 'colour'"),
     ("train-config-line-without-equals", 2, False,
      lambda t, m: ["train", "--config", config(t, "kind mlp\n")]),
     ("cv-config-not-utf8", 2, False,
      lambda t, m: ["cv", "--config", binary(t), "--out-dir", str(t)]),
     ("train-config-key-it-does-not-take", 2, True,
-     lambda t, m: ["train", "--config", config(t, "k = 5\n"), "--out-dir", str(t)]),
+     lambda t, m: ["train", "--config", config(t, "k = 5\n"), "--out-dir", str(t)],
+     "unrecognized arguments: --k=5"),
     ("report-config-key-it-does-not-take", 2, True,
      lambda t, m: ["report", "--config", config(t, "mode = per_match\n"),
                    "--model", m, "--holdout-season", "2017", "--out-dir", str(t)]),
     # flag values -> 2
+    ("ingest-without-matches", 2, True, lambda t, m: ["ingest"],
+     "the following arguments are required: --matches"),
     ("select-features-target-count-0", 2, True,
      lambda t, m: ["select-features", *DATA, "--target-count", "0", "--out-dir", str(t)]),
     ("train-target-count-0", 2, True,
@@ -256,12 +306,21 @@ FAULTS = [
                    "--toss-winner", "CSK", *TOSS]),
     # training and model documents: ModelError -> 3
     ("train-holdout-covers-every-season", 3, False,
-     lambda t, m: ["train", *DATA, "--holdout-season", "2016", "--out-dir", str(t)]),
+     lambda t, m: ["train", *DATA, "--holdout-season", "2016", "--out-dir", str(t)],
+     "holdout season 2016 overlaps the entire training range"),
     ("cv-k-1", 3, False,
      lambda t, m: ["cv", *DATA, "--kind", "naive_bayes", "--k", "1", "--out-dir", str(t)]),
+    ("cv-k-40", 3, False,
+     lambda t, m: ["cv", *DATA, "--kind", "naive_bayes", "--k", "40", "--out-dir", str(t)],
+     "class 0 has 28 members, fewer than k=40"),
     ("train-every-match-a-washout", 3, False,
-     lambda t, m: ["train", "--matches", all_washouts(t), "--players", PLAYERS,
-                   "--out-dir", str(t)]),
+     lambda t, m: ["train", "--matches", washouts(t, "2016", "2017"),
+                   "--players", PLAYERS, "--out-dir", str(t)]),
+    # the SVM's scores are all equal, which leaves Platt scaling no optimum
+    ("train-svm-every-row-alike", 3, False,
+     lambda t, m: ["train", "--matches", rewritten(t, MATCHES, alike),
+                   "--players", PLAYERS, "--kind", "linear_svm", "--out-dir", str(t)],
+     "Platt scaling fit failed"),
     ("predict-truncated-document", 3, False, lambda t, m: predict(truncated(t, m))),
     ("predict-document-nested-too-deeply", 3, False, lambda t, m: predict(nested(t))),
     ("report-document-nested-too-deeply", 3, False, lambda t, m: report(t, nested(t))),
@@ -281,31 +340,50 @@ FAULTS = [
     ("predict-emptied-parameters", 3, False,
      lambda t, m: predict(edited(t, m, lambda d: d.update(parameters={})))),
     ("report-emptied-parameters", 3, False,
-     lambda t, m: ["report", *DATA, "--holdout-season", "2017", "--out-dir", str(t),
-                   "--model", edited(t, m, lambda d: d.update(parameters={}))]),
+     lambda t, m: report(t, edited(t, m, lambda d: d.update(parameters={})))),
     ("predict-unknown-kind", 3, False,
      lambda t, m: predict(edited(t, m, lambda d: d["spec"].update(kind="svm")))),
+    # a setting that is a module constant is not a hyperparameter: a
+    # hand-made document that names one, even at the constant's value
+    *[(f"predict-constant-{name}-named-as-hyperparameter", 3, False,
+       lambda t, m, kind=kind, name=name, value=value: predict(edited(
+           t, beside(m, kind), set_in("spec", "hyperparameters", {name: value}))),
+       f"error: unknown hyperparameter(s) for {kind}: [{name!r}]")
+      for kind, name, value in [("gradient_boosting", "shrinkage", 0.1),
+                                ("linear_svm", "l2", 1e-4), ("mlp", "patience", 20)]],
     # the inputs of one prediction: PredictionInputError -> 4
     ("predict-home-equals-away", 4, False, lambda t, m: predict(m, away="CSK")),
     ("predict-toss-winner-not-playing", 4, False,
-     lambda t, m: predict(m, toss_winner="MI")),
+     lambda t, m: predict(m, toss_winner="MI"),
+     "toss_winner MI is not one of the two teams"),
     ("predict-team-absent-from-ledger", 4, False,
-     lambda t, m: predict(m, home="SRH", toss_winner="SRH")),
+     lambda t, m: predict(m, home="SRH", toss_winner="SRH"),
+     "team SRH is absent from the model's weight ledger"),
+    ("predict-away-team-absent-from-ledger", 4, False,
+     lambda t, m: predict(m, away="SRH"),
+     "team SRH is absent from the model's weight ledger and no cold-start data exists"),
     ("predict-document-without-weights", 4, False,
      lambda t, m: predict(edited(t, m, lambda d: d.update(team_weights=None)))),
 ]
 
 
-@pytest.mark.parametrize("code, usage, argv", [f[1:] for f in FAULTS],
-                         ids=[f[0] for f in FAULTS])
-def test_fault_exit_code(capsys, tmp_path, model, code, usage, argv):
-    assert main(argv(tmp_path, model)) == code
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    if usage:
-        assert "error:" in err
-    else:
-        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+ROWS = {f[0]: f[1:] for f in FAULTS}
+
+
+def fault(capsys, tmp_path, trained, name):
+    """Run the ``FAULTS`` row ``name``."""
+    code, usage, argv, message = (*ROWS[name], None)[:4]
+    fails(capsys, argv(tmp_path, trained()), code, message, usage)
+
+
+@pytest.mark.parametrize("name", ROWS)
+def test_fault_exit_code(capsys, tmp_path, trained, name):
+    fault(capsys, tmp_path, trained, name)
+
+
+def test_config_errors_name_the_key(capsys, tmp_path, trained):
+    for name in ("train-config-unknown-key", "train-config-key-it-does-not-take"):
+        fault(capsys, tmp_path, trained, name)
 
 
 def internal(p):
@@ -441,13 +519,10 @@ TABLE_FAULTS = [child_out_of_range, cycle, right_at_own_node, right_at_left_chil
 @pytest.mark.parametrize("command", ["predict", "report"])
 @pytest.mark.parametrize("fault", TABLE_FAULTS, ids=lambda f: f.__name__)
 @pytest.mark.parametrize("kind", ENSEMBLES)
-def test_corrupt_node_table_exit_3(capsys, tmp_path, documents, kind, fault,
+def test_corrupt_node_table_exit_3(capsys, tmp_path, trained, kind, fault,
                                    command):
-    path = edited(tmp_path, documents[kind], lambda d: fault(d["parameters"]))
-    argv = predict(path) if command == "predict" else report(tmp_path, path)
-    assert main(argv) == 3
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    path = edited(tmp_path, trained(kind), lambda d: fault(d["parameters"]))
+    fails(capsys, predict(path) if command == "predict" else report(tmp_path, path), 3)
 
 
 # (id, kind, edit of the document's parameters): parameters of the wrong
@@ -485,11 +560,9 @@ PARAMETER_FAULTS = [
 
 @pytest.mark.parametrize("kind, fault", [f[1:] for f in PARAMETER_FAULTS],
                          ids=[f[0] for f in PARAMETER_FAULTS])
-def test_corrupt_parameters_exit_3(capsys, tmp_path, documents, kind, fault):
-    path = edited(tmp_path, documents[kind], lambda d: fault(d["parameters"]))
-    assert main(predict(path)) == 3
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+def test_corrupt_parameters_exit_3(capsys, tmp_path, trained, kind, fault):
+    path = edited(tmp_path, trained(kind), lambda d: fault(d["parameters"]))
+    fails(capsys, predict(path), 3)
 
 
 def set_weights(value):
@@ -537,19 +610,10 @@ LEDGER_FAULTS = [
 @pytest.mark.parametrize("command", ["predict", "report"])
 @pytest.mark.parametrize("per_match, fault", [f[1:] for f in LEDGER_FAULTS],
                          ids=[f[0] for f in LEDGER_FAULTS])
-def test_corrupt_ledger_exit_3(capsys, tmp_path, model, per_match_model,
-                               per_match, fault, command):
-    path = edited(tmp_path, per_match_model if per_match else model, fault)
-    argv = predict(path) if command == "predict" else report(tmp_path, path)
-    assert main(argv) == 3
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
-
-
-def set_in(section, key, value):
-    def edit(doc):
-        doc[section][key] = value
-    return edit
+def test_corrupt_ledger_exit_3(capsys, tmp_path, trained, per_match, fault,
+                               command):
+    path = edited(tmp_path, trained(mode=PER_MATCH if per_match else PER_SEASON), fault)
+    fails(capsys, predict(path) if command == "predict" else report(tmp_path, path), 3)
 
 
 def in_schema(edit):
@@ -608,27 +672,9 @@ DOCUMENT_FAULTS = [
 @pytest.mark.parametrize("command", ["predict", "report"])
 @pytest.mark.parametrize("fault", [f[1] for f in DOCUMENT_FAULTS],
                          ids=[f[0] for f in DOCUMENT_FAULTS])
-def test_corrupt_document_exit_3(capsys, tmp_path, model, fault, command):
-    path = edited(tmp_path, model, fault)
-    argv = predict(path) if command == "predict" else report(tmp_path, path)
-    assert main(argv) == 3
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
-
-
-@pytest.mark.parametrize("kind, name, value", [
-    ("gradient_boosting", "shrinkage", 0.1), ("linear_svm", "l2", 1e-4),
-    ("mlp", "patience", 20)])
-def test_constant_named_as_hyperparameter_exit_3(capsys, tmp_path, documents,
-                                                  kind, name, value):
-    """A setting that is a module constant is not a hyperparameter: a
-    hand-made document that names one, even at the constant's value, is an
-    InvalidHyperparameter."""
-    path = edited(tmp_path, documents[kind],
-                  set_in("spec", "hyperparameters", {name: value}))
-    assert main(predict(path)) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error: unknown hyperparameter") and len(err.splitlines()) == 1
+def test_corrupt_document_exit_3(capsys, tmp_path, trained, fault, command):
+    path = edited(tmp_path, trained(), fault)
+    fails(capsys, predict(path) if command == "predict" else report(tmp_path, path), 3)
 
 
 FAMILY_CODES = {
@@ -646,23 +692,6 @@ FAMILY_CODES = {
                                         for n in names])
 def test_error_family_exit_code(code, name):
     assert getattr(errors, name).exit_code == code
-
-
-# Python 3.11's date.fromisoformat reads both forms as 2017-05-01
-@pytest.mark.parametrize("date", ["20170501", "2017-W18-1"])
-def test_matches_date_other_than_yyyy_mm_dd_exit_2(capsys, tmp_path, date):
-    matches = appended(tmp_path, MATCHES,
-                       f"x1,2017,{date},CSK,RR,Wankhede Stadium,CSK,bat,CSK")
-    assert main(["ingest", "--matches", matches, "--players", PLAYERS]) == 2
-    err = capsys.readouterr().err
-    assert err == f"error: {matches} row 68: bad date {date!r}\n"
-
-
-def test_config_errors_name_the_key(capsys, tmp_path):
-    assert main(["train", "--config", config(tmp_path, "colour = red\n")]) == 2
-    assert "'colour'" in capsys.readouterr().err
-    assert main(["train", "--config", config(tmp_path, "k = 5\n")]) == 2
-    assert "--k=5" in capsys.readouterr().err
 
 
 def test_flags_override_the_config_file(capsys, tmp_path):

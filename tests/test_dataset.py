@@ -1,4 +1,3 @@
-import csv
 import datetime as dt
 import random
 from pathlib import Path

@@ -33,11 +33,6 @@ def synthetic_players(n, seed=0, noise=0.0, model=REFERENCE_POINTS_MODEL):
 
 
 class TestFit:
-    def test_noiseless_recovery(self):
-        fitted = fit_points_model(synthetic_players(200))
-        expected = REFERENCE_POINTS_MODEL.coefficients()
-        assert np.allclose(fitted.coefficients(), expected, atol=1e-6)
-
     def test_noisy_recovery(self):
         fitted = fit_points_model(synthetic_players(10000, seed=1, noise=0.5))
         expected = REFERENCE_POINTS_MODEL.coefficients()

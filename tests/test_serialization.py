@@ -1,9 +1,9 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cricpred.cli import main
 from cricpred.errors import (
     CorruptDocument,
     ModelError,
@@ -24,23 +24,13 @@ from cricpred.models.base import WIRE_DTYPES, _encode_array
 from cricpred.models.tree import TABLE_DTYPES, fit_classification_tree, stored_table
 from cricpred.scoring import REFERENCE_POINTS_MODEL
 
-from conftest import fixture_path, separable_dataset
+from conftest import separable_dataset
 
 
 def small_spec(kind):
     extra = {"mlp": {"epochs": 30}, "random_forest": {"n_trees": 20},
              "gradient_boosting": {"n_rounds": 30}}.get(kind, {})
     return make_spec(kind, seed=2, **extra)
-
-
-@pytest.fixture(scope="module")
-def fixture_documents(tmp_path_factory):
-    """The six documents ``train --kind all`` writes for the fixture."""
-    out = tmp_path_factory.mktemp("fixture_documents")
-    assert main(["train", "--matches", fixture_path("matches.csv"),
-                 "--players", fixture_path("players.csv"), "--kind", "all",
-                 "--out-dir", str(out)]) == 0
-    return out
 
 
 class TestRoundTrip:
@@ -60,12 +50,11 @@ class TestRoundTrip:
         assert restored.model.spec == model.spec
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_load_and_save_reproduce_the_file(self, kind, fixture_documents,
-                                              tmp_path):
+    def test_load_and_save_reproduce_the_file(self, kind, trained, tmp_path):
         """A saved document, loaded and saved again, is the same bytes, and
         its node table loads as the four stored arrays, in the dtypes the
         tree code computes in."""
-        path = fixture_documents / f"model_{kind}.json"
+        path = Path(trained(kind))
         loaded = load_document(path)
         again = tmp_path / "again.json"
         save_document(serialize(loaded.model, loaded.points_model, loaded.ledger),

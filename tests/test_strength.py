@@ -4,7 +4,7 @@ import pytest
 
 from cricpred.dataset import MatchDataset, PlayerPerformance
 from cricpred.errors import EmptyRoster, LedgerMiss, MissingRoster, ZeroAppearances
-from cricpred.scoring import REFERENCE_POINTS_MODEL, PointsModel, score_player
+from cricpred.scoring import REFERENCE_POINTS_MODEL, score_player
 from cricpred.strength import (
     PER_MATCH,
     PER_SEASON,
