@@ -6,8 +6,9 @@ or written (``OSError``) and the ingestion and validation errors; 3
 ``errors.ModelError`` (training and model documents); 4
 ``errors.PredictionInputError``. Each error family carries its code, and
 ``main`` is the only place that maps it: one ``error: ...`` line on stderr
-(argparse prints its usage line first), never a traceback. An unseen
-category is one ``warning: ...`` line per distinct message, never an error.
+(argparse prints its usage line first), never a traceback. A package
+warning (an unseen category, the MLP reaching its epoch cap) is one
+``warning: ...`` line per distinct message, never an error.
 
 ``--config FILE`` holds ``key = value`` lines with keys from
 ``CONFIG_KEYS``. They become ``--key=value`` flags placed before the
@@ -244,6 +245,12 @@ def cmd_predict(args):
 
 def cmd_report(args):
     document = model_base.load_document(args.model)
+    if document.ledger is not None:
+        trained_to = max(season for _, season, _, _ in document.ledger.rows())
+        if args.holdout_season <= trained_to:
+            raise errors.ModelError(
+                f"holdout season {args.holdout_season} is not after the "
+                f"model's last training season, {trained_to}")
     dataset, players = _load_inputs(args)
     points = document.points_model or REFERENCE_POINTS_MODEL
     mode = document.ledger.mode if document.ledger else PER_SEASON
@@ -375,14 +382,14 @@ def build_parser():
     return parser
 
 
-def _one_line_unseen(show):
-    """A ``warnings.showwarning`` that writes each distinct
-    ``UnseenCategory`` message once, as one ``warning: ...`` line, and
+def _one_line_warnings(show):
+    """A ``warnings.showwarning`` that writes each distinct package warning
+    (``errors.CricpredWarning``) once, as one ``warning: ...`` line, and
     hands every other warning to ``show``."""
     shown = set()
 
     def showwarning(message, category, *where):
-        if not issubclass(category, errors.UnseenCategory):
+        if not issubclass(category, errors.CricpredWarning):
             return show(message, category, *where)
         if str(message) not in shown:
             shown.add(str(message))
@@ -393,9 +400,9 @@ def _one_line_unseen(show):
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     with warnings.catch_warnings():
-        # an unseen category is never an error, whatever the -W filters say
-        warnings.simplefilter("always", errors.UnseenCategory)
-        warnings.showwarning = _one_line_unseen(warnings.showwarning)
+        # a package warning is never an error, whatever the -W filters say
+        warnings.simplefilter("always", errors.CricpredWarning)
+        warnings.showwarning = _one_line_warnings(warnings.showwarning)
         try:
             args = build_parser().parse_args(_with_config(argv))
             Path(args.out_dir).mkdir(parents=True, exist_ok=True)

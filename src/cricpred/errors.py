@@ -4,7 +4,8 @@ Every error carries ``exit_code``, the status the command line exits with
 when the error reaches it: 2 for malformed inputs and data the pipeline
 cannot use (the default), 3 for the ``ModelError`` family (training and
 model documents), 4 for the ``PredictionInputError`` family.
-``UnseenCategory`` is the package's one warning.
+Every warning is a ``CricpredWarning``; the command line prints each
+distinct one as one ``warning: ...`` line.
 """
 
 
@@ -12,6 +13,10 @@ class CricpredError(Exception):
     """Base class for all package errors."""
 
     exit_code = 2
+
+
+class CricpredWarning(UserWarning):
+    """Base class for all package warnings: the result is still usable."""
 
 
 class ModelError(CricpredError):
@@ -98,7 +103,7 @@ class TargetTooLarge(CricpredError):
     pass
 
 
-class UnseenCategory(UserWarning):
+class UnseenCategory(CricpredWarning):
     """A categorical value the schema has not seen; it encodes as the
     dropped category."""
 
@@ -115,6 +120,11 @@ class InvalidHyperparameter(ModelError):
 
 class NonConvergence(ModelError):
     pass
+
+
+class EpochCap(CricpredWarning):
+    """The MLP reached its epoch cap before its stopping rule held; it
+    keeps the parameters of its lowest validation loss."""
 
 
 class SchemaMismatch(ModelError):

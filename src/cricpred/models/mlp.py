@@ -4,26 +4,44 @@ with Adam on L2-regularized binary cross entropy.
 Training holds the parameters, their gradient and the Adam moments each in
 one flat float64 vector; every layer's ``W`` and ``b`` are reshaped views
 of it (``unflatten``), so an Adam step is a few ufunc calls on the whole
-vector. A mini-batch step computes only the gradient; the loss is computed
-once per epoch, on the full training set, for early stopping.
+vector. A mini-batch step computes only the gradient.
+
+Training stops early on held-out validation loss (Prechelt 1998, "Early
+stopping -- but when?"). ``validation_rows`` holds out a seeded tenth of
+the training rows, and Adam trains on the rest. After each epoch the mean
+cross entropy of the held-out rows is computed, and the parameters with
+the lowest one, the initial ones included, are kept. Training stops after
+``PATIENCE`` epochs none of which lowers the loss by ``MIN_GAIN``. The
+``epochs`` hyperparameter is only a cap: reaching it keeps the best
+parameters and warns (``EpochCap``) with how far the rule was from
+holding. A loss that is not finite raises ``NonConvergence``.
 """
 
 from __future__ import annotations
 
+import math
+import warnings
+
 import numpy as np
 
-from ..errors import NonConvergence
+from ..errors import EpochCap, NonConvergence
 from .linear import sigmoid
 
 HIDDEN_UNITS = (10, 10, 10)
 MLP_L2 = 1e-4
 BATCH_SIZE = 32
-# Training stops after PATIENCE epochs without a new lowest training loss.
-PATIENCE = 20
 ADAM_LEARNING_RATE = 0.001
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# The stopping rule: hold out VALIDATION_FRACTION of the rows, at least
+# MIN_VALIDATION_ROWS (below that one row is over a tenth of the mean
+# loss) and at most half; stop after PATIENCE epochs that do not lower
+# the lowest validation loss by MIN_GAIN.
+VALIDATION_FRACTION = 0.1
+MIN_VALIDATION_ROWS = 10
+MIN_GAIN = 1e-4
+PATIENCE = 20
 
 
 def init_params(n_inputs, seed):
@@ -47,9 +65,13 @@ def _forward(params, X):
     return activations, z  # z is the final logit column
 
 
+def _cross_entropy(logits, y):
+    return float(np.mean(np.logaddexp(0.0, logits) - y * logits))
+
+
 def _loss(params, logits, y, lam):
-    loss = float(np.mean(np.logaddexp(0.0, logits) - y * logits))
-    return loss + 0.5 * lam * sum(float(np.sum(W * W)) for W, _ in params)
+    return (_cross_entropy(logits, y)
+            + 0.5 * lam * sum(float(np.sum(W * W)) for W, _ in params))
 
 
 def _gradient(params, X, y, lam, grads):
@@ -81,9 +103,24 @@ def mlp_loss_and_gradient(params, X, y, lam):
     return _loss(params, logits, y, lam), grads
 
 
+def validation_rows(n, seed):
+    """A boolean mask of the rows an ``n``-row training set holds out:
+    ``ceil(VALIDATION_FRACTION * n)`` of them, at least
+    ``MIN_VALIDATION_ROWS`` and at most ``n // 2``, drawn from the seeded
+    stream ``[seed, 2]``, apart from the mini-batch stream ``[seed, 1]``."""
+    size = min(max(math.ceil(VALIDATION_FRACTION * n), MIN_VALIDATION_ROWS),
+               n // 2)
+    held = np.zeros(n, dtype=bool)
+    held[np.random.default_rng([seed, 2]).permutation(n)[:size]] = True
+    return held
+
+
 def train_mlp(X, y, hp, seed):
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).reshape(-1, 1)
+    held = validation_rows(X.shape[0], seed)
+    X_val, y_val = X[held], y[held]
+    X, y = X[~held], y[~held]
 
     template = init_params(X.shape[1], seed)
     theta = flatten(template)
@@ -95,12 +132,13 @@ def train_mlp(X, y, hp, seed):
     step = 0
     rng = np.random.default_rng([seed, 1])
     n = X.shape[0]
-    history = []
-    best_loss = np.inf
+    history = [_cross_entropy(_forward(params, X_val)[1], y_val)]
     best_theta = theta.copy()
+    best_loss = history[0]
+    best_epoch, gain = 0, 0.0
     stale = 0
 
-    for _ in range(hp["epochs"]):
+    for epoch in range(1, hp["epochs"] + 1):
         order = rng.permutation(n)
         for start in range(0, n, BATCH_SIZE):
             batch = order[start:start + BATCH_SIZE]
@@ -113,19 +151,23 @@ def train_mlp(X, y, hp, seed):
             v *= ADAM_BETA2
             v += (1.0 - ADAM_BETA2) * grad * grad
             theta -= (ADAM_LEARNING_RATE * correction) * m / (np.sqrt(v) + ADAM_EPS)
-        epoch_loss = _loss(params, _forward(params, X)[1], y, MLP_L2)
-        history.append(epoch_loss)
-        if not np.isfinite(epoch_loss):
+        loss = _cross_entropy(_forward(params, X_val)[1], y_val)
+        history.append(loss)
+        if not np.isfinite(loss):
             raise NonConvergence(
-                f"training loss diverged; last epochs: {history[-5:]}")
-        if epoch_loss < best_loss - 1e-12:
-            best_loss = epoch_loss
-            best_theta = theta.copy()
-            stale = 0
-        else:
-            stale += 1
-            if stale >= PATIENCE:
-                break
+                f"validation loss diverged; last epochs: {history[-5:]}")
+        stale = stale + 1 if loss > best_loss - MIN_GAIN else 0
+        if loss < best_loss:
+            best_epoch, gain, best_loss = epoch, best_loss - loss, loss
+            best_theta[:] = theta
+        if stale >= PATIENCE:
+            break
+    else:
+        warnings.warn(EpochCap(
+            f"mlp reached its {hp['epochs']}-epoch cap {PATIENCE - stale} "
+            f"epochs short of its stopping rule: the validation loss last "
+            f"fell, by {gain:.2g} to {best_loss:.4f}, at epoch {best_epoch}, "
+            f"and those parameters are kept"), stacklevel=2)
     return {"layers": unflatten(best_theta, template)}
 
 

@@ -80,14 +80,16 @@ def players_csv():
 @pytest.fixture(scope="session")
 def trained(tmp_path_factory):
     """``trained(kind, mode)``: the path of the document that ``train --kind
-    all --mode mode`` writes for the fixture, by default the ``per_season``
-    logistic regression. Each mode is trained once a session; a test that
-    edits a document edits a copy."""
+    all --mode mode --holdout-season 2017`` writes for the fixture, by
+    default the ``per_season`` logistic regression, so that ``report`` on
+    2017 is a holdout report. Each mode is trained once a session; a test
+    that edits a document edits a copy."""
     out = tmp_path_factory.mktemp("trained")
     for mode in (PER_SEASON, PER_MATCH):
         assert main(["train", "--matches", fixture_path("matches.csv"),
                      "--players", fixture_path("players.csv"), "--kind", "all",
-                     "--mode", mode, "--out-dir", str(out / mode)]) == 0
+                     "--mode", mode, "--holdout-season", "2017",
+                     "--out-dir", str(out / mode)]) == 0
 
     def document(kind="logistic_regression", mode=PER_SEASON):
         return str(out / mode / f"model_{kind}.json")

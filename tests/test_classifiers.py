@@ -41,7 +41,7 @@ class TestTrain:
         small = EncodedDataset(X=separable.X[:120], y=separable.y[:120],
                                schema=separable.schema,
                                row_ids=separable.row_ids[:120])
-        spec = make_spec("mlp", seed=7, epochs=40)
+        spec = make_spec("mlp", seed=7)
         a = serialize(train(spec, small))
         b = serialize(train(spec, small))
         assert a == b

@@ -5,10 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from cricpred.cli import _one_line_unseen, _points_model, main
+from cricpred.cli import _one_line_warnings, _points_model, main
 from cricpred.dataset import load_matches, load_player_performances
-from cricpred.errors import UnseenCategory
-from cricpred.models import FORMAT_VERSION
+from cricpred.errors import EpochCap, UnseenCategory
+from cricpred.models import FORMAT_VERSION, mlp
 from cricpred.scoring import fit_points_model
 from cricpred.strength import PER_MATCH, PER_SEASON, build_ledger
 
@@ -122,8 +122,13 @@ class TestTrain:
 
 
 class TestPredict:
-    def test_fixture_weights_in_output(self, capsys, trained):
-        code, out, _ = run(capsys, "predict", "--model", trained(),
+    def test_fixture_weights_in_output(self, capsys, tmp_path, data_args):
+        """A document trained on every season serves each team's 2017
+        weight, from the reference points model."""
+        assert run(capsys, "train", *data_args, "--kind", "logistic_regression",
+                   "--out-dir", str(tmp_path))[0] == 0
+        code, out, _ = run(capsys, "predict",
+                           "--model", str(tmp_path / "model_logistic_regression.json"),
                            "--home", "CSK", "--away", "RR",
                            "--venue", "Dr DY Patil Sports Academy",
                            "--toss-winner", "CSK", "--toss-decision", "bat")
@@ -174,15 +179,40 @@ class TestPredict:
 
 
 def test_unseen_category_shown_once_per_message(capsys):
+    """Each distinct package warning (an unseen category, the MLP's epoch
+    cap) is one ``warning:`` line; any other warning, a plain
+    ``UserWarning`` included, goes to the handler it replaced."""
     others = []
-    show = _one_line_unseen(lambda message, category, *where: others.append(category))
+    show = _one_line_warnings(lambda message, category, *where: others.append(category))
     for value in ("A", "A", "B"):
         show(UnseenCategory(f"unseen venue category {value!r}"), UnseenCategory,
              "features.py", 1)
+    for epoch in (4, 4):
+        show(EpochCap(f"mlp reached its 5-epoch cap, best epoch {epoch}"), EpochCap,
+             "mlp.py", 1)
     show(DeprecationWarning("old"), DeprecationWarning, "features.py", 1)
-    assert capsys.readouterr().err == ("warning: unseen venue category 'A'\n"
-                                       "warning: unseen venue category 'B'\n")
-    assert others == [DeprecationWarning]
+    show(UserWarning("not ours"), UserWarning, "elsewhere.py", 1)
+    assert capsys.readouterr().err == (
+        "warning: unseen venue category 'A'\n"
+        "warning: unseen venue category 'B'\n"
+        "warning: mlp reached its 5-epoch cap, best epoch 4\n")
+    assert others == [DeprecationWarning, UserWarning]
+
+
+def test_epoch_cap_is_a_warning_line_not_an_error(capsys, monkeypatch, tmp_path,
+                                                  data_args):
+    """A cv whose every MLP fit reaches the cap exits 0 with one
+    ``warning:`` line per fold, even where warnings are errors."""
+    monkeypatch.setattr(mlp, "PATIENCE", 301)  # more epochs than the cap
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, "cv", *data_args, "--kind", "mlp", "--k", "5",
+                           "--out-dir", str(tmp_path))
+    assert code == 0
+    lines = err.splitlines()
+    assert len(lines) == 6 and lines[-1].startswith("wrote ")
+    assert all(line.startswith("warning: mlp reached its 300-epoch cap")
+               for line in lines[:5])
 
 
 @pytest.mark.parametrize("holdout", [None, 2017])

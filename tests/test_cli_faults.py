@@ -308,6 +308,10 @@ FAULTS = [
     ("train-holdout-covers-every-season", 3, False,
      lambda t, m: ["train", *DATA, "--holdout-season", "2016", "--out-dir", str(t)],
      "holdout season 2016 overlaps the entire training range"),
+    ("report-season-the-model-trained-on", 3, False,
+     lambda t, m: ["report", *DATA, "--model", m, "--holdout-season", "2016",
+                   "--out-dir", str(t)],
+     "holdout season 2016 is not after the model's last training season, 2016"),
     ("cv-k-1", 3, False,
      lambda t, m: ["cv", *DATA, "--kind", "naive_bayes", "--k", "1", "--out-dir", str(t)]),
     ("cv-k-40", 3, False,
