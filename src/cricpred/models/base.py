@@ -255,7 +255,7 @@ CLASSIFIERS = {
         _without_schema(ensemble.train_random_forest),
         ensemble.predict_random_forest, _load_random_forest, {
             "n_trees": (100, _COUNT),
-            "min_leaf": (1, _COUNT),
+            "min_leaf": (5, _COUNT),
             "max_depth": (None, lambda v: v is None or (_integer(v) and v >= 0)),
             "bootstrap": (True, lambda v: isinstance(v, bool)),
         }),

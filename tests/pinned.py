@@ -148,10 +148,13 @@ def _register(group, case, *args):
 # to the table. The random-forest digests were re-recorded for
 # breadth-first growth: a tree draws the candidate columns of all its open
 # nodes at a level in one call, where the depth-first grower drew them
-# node by node. The ``mlp``, ``linear_svm``, ``logistic_regression`` and
-# ``naive_bayes`` digests pin every weight to the last bit, so a faster
-# training loop must reproduce its floating-point operations exactly; their
-# documents differ between versions only in ``format_version``. With
+# node by node, and ``golden/fixture-random_forest-0``, the one case grown
+# at the default ``min_leaf``, again when that default went from 1 to 5
+# (the ``SMALL_FOREST`` cases set ``min_leaf`` 3 themselves). The ``mlp``,
+# ``linear_svm``, ``logistic_regression`` and ``naive_bayes`` digests pin
+# every weight to the last bit, so a faster training loop must reproduce
+# its floating-point operations exactly; their documents differ between
+# versions only in ``format_version``. With
 # ``format_version`` set back to 1, the ``logistic_regression`` and
 # ``naive_bayes`` digests give the version 1 digests; the ``linear_svm``
 # digest pins the Newton fit of the squared hinge, which no version 1
@@ -159,7 +162,13 @@ def _register(group, case, *args):
 # same Newton loop, which changed only ``platt_a`` and ``platt_b`` (by
 # about 1e-9 relative). The ``mlp`` digests were re-recorded when training
 # began to stop on held-out validation loss; both cases train to that
-# stopping rule, under the default 300-epoch cap.
+# stopping rule, under the default 300-epoch cap. On the fixture's 64
+# rows no epoch's validation loss is below the initial parameters', so
+# ``golden/fixture-mlp-5`` and ``cli/predict-mlp`` pin the seeded
+# initialization, not a trained network. ``golden/separable-mlp-6``,
+# ``output/cv-mlp`` (four of its five fold models) and
+# ``output/report-mlp`` (28 training rows) pin networks that training
+# moved.
 
 SMALL_FOREST = {"max_depth": 6, "min_leaf": 3, "n_trees": 20}
 DATASETS = {

@@ -317,7 +317,9 @@ def matrices():
 
 
 MATRICES = matrices()
-GROWTH = [(min_leaf, max_depth) for min_leaf in (1, 2, 3, 4)
+# The leaf floor every forest grows to unless its spec sets another.
+DEFAULT_MIN_LEAF = make_spec("random_forest").resolved_hyperparameters()["min_leaf"]
+GROWTH = [(min_leaf, max_depth) for min_leaf in sorted({1, 2, 3, 4, DEFAULT_MIN_LEAF})
           for max_depth in (None, 0, 3)]
 
 
@@ -340,7 +342,8 @@ def test_sse_tree_matches_depth_first(name, X, y, min_leaf, max_depth):
         flatten([ref_regression_tree(X, grad, hess, min_leaf, max_depth)]))
 
 
-@pytest.mark.parametrize("min_leaf, max_depth", [(1, None), (3, None), (2, 3)])
+@pytest.mark.parametrize("min_leaf, max_depth",
+                         [(1, None), (3, None), (2, 3), (DEFAULT_MIN_LEAF, None)])
 @pytest.mark.parametrize("name, X, y", MATRICES, ids=[m[0] for m in MATRICES])
 def test_bootstrap_batch_matches_depth_first(name, X, y, min_leaf, max_depth):
     """Several bootstrap samples, duplicate rows and all, grown in one

@@ -1,0 +1,80 @@
+"""Compare candidate values of one hyperparameter by 10-fold CV on leagues.
+
+    PYTHONPATH=src python tools/choose_default.py random_forest min_leaf 1 2 3 5 10 20 \\
+        --leagues 1 2 3 4 5 6 7 8
+    PYTHONPATH=src python tools/choose_default.py random_forest min_leaf 1 5 --leagues fixture
+
+A league is a ``perfbench/league.py`` seed (the file is only read) or
+``fixture``, encoded by the code ``cricpred cv --mode per_season`` runs.
+Each value trains the kind's spec at seed 0 with only that hyperparameter
+set, and predicts each row from the model trained on the other folds of
+``stratified_folds(y, K, SEED)``. Printed: each league's and the mean
+out-of-fold accuracy (``p >= 0.5`` predicts a home win) and Brier score.
+Values are read as JSON: ``null``, ``true``, ``1e-2``.
+"""
+
+import argparse
+import json
+import runpy
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from cricpred.cli import _encoded_dataset
+from cricpred.dataset import load_matches, load_player_performances
+from cricpred.evaluation import fit_predict, report_from_predictions, stratified_folds
+from cricpred.models import make_spec
+from cricpred.strength import PER_SEASON
+
+ROOT = Path(__file__).resolve().parents[1]
+K = 10
+SEED = 0
+
+
+def encoded(league):
+    with tempfile.TemporaryDirectory() as tmp:
+        where = ROOT / "src" / "cricpred" / "fixtures"
+        if league != "fixture":
+            where = Path(tmp)
+            runpy.run_path(str(ROOT / "perfbench" / "league.py"))["write_league"](
+                int(league), where)
+        dataset = load_matches(where / "matches.csv")
+        players = load_player_performances(where / "players.csv")
+    return _encoded_dataset(argparse.Namespace(mode=PER_SEASON), dataset, players)[0]
+
+
+def out_of_fold(spec, data):
+    """Each row's class-1 probability from the model that did not see it."""
+    p = np.empty(len(data.y))
+    for members in stratified_folds(data.y, K, SEED):
+        rows = np.ones(len(data.y), dtype=bool)
+        rows[members] = False
+        p[members] = fit_predict(spec, data, rows)
+    return p
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("kind")
+    parser.add_argument("name", help="the hyperparameter")
+    parser.add_argument("values", nargs="+", type=json.loads)
+    parser.add_argument("--leagues", nargs="+", required=True)
+    args = parser.parse_args()
+    datasets = {league: encoded(league) for league in args.leagues}
+    print(f"{args.name:>10}  {'league':>7}  {'accuracy':>8}  {'brier':>6}")
+    for value in args.values:
+        spec = make_spec(args.kind, seed=SEED, **{args.name: value})
+        scores = []
+        for league, data in datasets.items():
+            p = out_of_fold(spec, data)
+            scores.append((report_from_predictions(data.y, p).accuracy,
+                           float(np.mean((p - data.y) ** 2))))
+            print(f"{json.dumps(value):>10}  {league:>7}  {scores[-1][0]:8.4f}  "
+                  f"{scores[-1][1]:6.4f}", flush=True)
+        accuracy, brier = np.mean(scores, axis=0)
+        print(f"{json.dumps(value):>10}  {'mean':>7}  {accuracy:8.4f}  {brier:6.4f}")
+
+
+if __name__ == "__main__":
+    main()
