@@ -138,7 +138,7 @@ def cmd_team_weights(args):
 def _encoded_dataset(args, dataset, players):
     points, origin = _points_model(players)
     ledger = build_ledger(points, players, dataset, mode=args.mode)
-    encoded = encode(dataset, ledger, build_schema(dataset))
+    encoded = encode(dataset, ledger.weight_for, build_schema(dataset))
     return encoded, points, ledger, origin
 
 
@@ -213,6 +213,22 @@ def cmd_cv(args):
     return 0
 
 
+def _served_weights(document, teams):
+    """``{team: weight}``: the weight each team of the document serves
+    predictions with, its last training-season row
+    (``TeamWeightLedger.latest()``). Raises ``PredictionInputError`` when
+    the document carries no team weights or one of ``teams`` has none."""
+    if document.ledger is None:
+        raise errors.PredictionInputError("model document carries no team weights")
+    served = {t: w for t, _, _, w in document.ledger.latest().rows()}
+    for team in teams:
+        if team not in served:
+            raise errors.PredictionInputError(
+                f"team {team} is absent from the model's weight ledger and no "
+                "cold-start data exists")
+    return served
+
+
 def cmd_predict(args):
     document = model_base.load_document(args.model)
     home, away, toss_winner = args.home, args.away, args.toss_winner
@@ -221,14 +237,7 @@ def cmd_predict(args):
     if toss_winner not in (home, away):
         raise errors.PredictionInputError(
             f"toss_winner {toss_winner} is not one of the two teams")
-    if document.ledger is None:
-        raise errors.PredictionInputError("model document carries no team weights")
-    served = {t: w for t, _, _, w in document.ledger.latest().rows()}
-    for team in (home, away):
-        if team not in served:
-            raise errors.PredictionInputError(
-                f"team {team} is absent from the model's weight ledger and no "
-                "cold-start data exists")
+    served = _served_weights(document, (home, away))
     w1, w2 = served[home], served[away]
     row = encode_values(
         document.model.schema,
@@ -251,18 +260,19 @@ def cmd_report(args):
             raise errors.ModelError(
                 f"holdout season {args.holdout_season} is not after the "
                 f"model's last training season, {trained_to}")
-    dataset, players = _load_inputs(args)
-    points = document.points_model or REFERENCE_POINTS_MODEL
-    mode = document.ledger.mode if document.ledger else PER_SEASON
-    ledger = build_ledger(points, players, dataset, mode=mode)
-    holdout = dataset.restrict({args.holdout_season})
-    if not holdout.decisive():
+    holdout = load_matches(args.matches).restrict({args.holdout_season})
+    decisive = holdout.decisive()
+    if not decisive:
         raise errors.EmptyDataset(
             f"no decisive matches in holdout season {args.holdout_season}")
-    encoded = encode(holdout, ledger, document.model.schema)
+    served = _served_weights(
+        document, (team for m in decisive for team in (m.home_team, m.away_team)))
+    encoded = encode(holdout, lambda team, _: served[team], document.model.schema)
     report, rows = evaluate_holdout(document.model, encoded)
     _print_report(report, f"holdout season {args.holdout_season}, "
                           f"{document.model.spec.kind}")
+    print("team weights: each team's last training-season weight, "
+          "as predict serves them")
     out_dir = Path(args.out_dir)
     _write_report_csv(report, out_dir / "holdout_report.csv")
     _write_csv(out_dir / "holdout_predictions.csv",
@@ -375,7 +385,11 @@ def build_parser():
     p.add_argument("--toss-winner", required=True)
     p.add_argument("--toss-decision", required=True, choices=["bat", "field"])
 
-    p = add("report", cmd_report, "evaluate a model on a holdout season")
+    p = add("report", cmd_report, "evaluate a model on a holdout season",
+            inputs=False)
+    p.add_argument("--matches", required=True)
+    p.add_argument("--players", help="ignored: report scores the team weights "
+                                     "the model serves and reads no players file")
     p.add_argument("--model", required=True)
     p.add_argument("--holdout-season", type=int, required=True)
 

@@ -100,9 +100,9 @@ def fit_predict(spec, data, rows):
     return model.predict_proba_matrix(data.X[~rows])
 
 
-def cross_validate(spec, data, k, seed) -> EvalReport:
-    """Predict each stratified fold from a model trained on the others, and
-    report the pooled predictions with each fold's accuracy."""
+def out_of_fold(spec, data, k, seed):
+    """``(p, fold)``: each row's class-1 probability from the model trained
+    on the other stratified folds, and the row's fold number."""
     fold = np.empty(len(data.y), dtype=np.int64)
     for i, members in enumerate(stratified_folds(data.y, k, seed)):
         fold[members] = i
@@ -110,18 +110,26 @@ def cross_validate(spec, data, k, seed) -> EvalReport:
     for i in range(k):
         held_out = fold == i
         p[held_out] = fit_predict(spec, data, ~held_out)
-    return report_from_predictions(data.y, p, fold)
+    return p, fold
+
+
+def cross_validate(spec, data, k, seed) -> EvalReport:
+    """Predict each stratified fold from a model trained on the others, and
+    report the pooled predictions with each fold's accuracy."""
+    return report_from_predictions(data.y, *out_of_fold(spec, data, k, seed))
 
 
 def evaluate_holdout(model, holdout):
     """Per-match predictions on a holdout set.
 
     Returns ``(report, rows)`` where rows are
-    ``(match_id, probability, predicted, actual)`` in dataset order.
+    ``(match_id, probability, predicted, actual)`` in dataset order. Each
+    match is predicted on its own, as ``predict`` computes it: a matrix
+    product over many rows may round the last bit differently.
     """
     if holdout.schema.fingerprint() != model.schema.fingerprint():
         raise SchemaMismatch("holdout schema does not match the trained model")
-    probs = model.predict_proba_matrix(holdout.X)
+    probs = np.array([model.predict_proba_matrix(row)[0] for row in holdout.X])
     rows = [(mid, float(p), int(p >= 0.5), int(actual))
             for mid, p, actual in zip(holdout.row_ids, probs, holdout.y)]
     return report_from_predictions(holdout.y, probs), rows

@@ -6,6 +6,7 @@ from __future__ import annotations
 import hashlib
 import json
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -15,7 +16,6 @@ from .errors import EmptyDataset, TargetTooLarge, TooFewRows, UnseenCategory
 from .evaluation import cross_validate
 from .models.base import make_spec
 from .models.linear import fit_logistic
-from .strength import TeamWeightLedger
 
 CATEGORICAL_FEATURES = ["home_team", "away_team", "toss_winner", "toss_decision", "venue"]
 NUMERIC_FEATURES = ["home_team_weight", "away_team_weight"]
@@ -168,17 +168,19 @@ def decode_row(schema: FeatureSchema, row) -> dict:
     return values
 
 
-def encode(dataset: MatchDataset, ledger: TeamWeightLedger,
+def encode(dataset: MatchDataset, weight_for: Callable,
            schema: FeatureSchema) -> EncodedDataset:
-    """One row per decisive match, in date order."""
+    """One row per decisive match, in date order. ``weight_for(team,
+    match)`` is the team's weight in the match, such as a ledger's
+    ``TeamWeightLedger.weight_for``."""
     rows, labels, ids = [], [], []
     for m in dataset.matches:
         if not m.has_result:
             continue
         rows.append(encode_values(
             schema, {name: getattr(m, name) for name in CATEGORICAL_FEATURES},
-            {"home_team_weight": ledger.weight_for(m.home_team, m),
-             "away_team_weight": ledger.weight_for(m.away_team, m)}))
+            {"home_team_weight": weight_for(m.home_team, m),
+             "away_team_weight": weight_for(m.away_team, m)}))
         labels.append(label_of(m))
         ids.append(m.match_id)
     X = np.array(rows, dtype=np.float64).reshape(len(rows), schema.total_columns)

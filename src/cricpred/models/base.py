@@ -244,7 +244,7 @@ CLASSIFIERS = {
     "gradient_boosting": Classifier(
         _without_schema(ensemble.train_gradient_boosting),
         ensemble.predict_gradient_boosting, _load_gradient_boosting,
-        {"n_rounds": (100, _COUNT)}),
+        {"n_rounds": (50, _COUNT)}),
     "linear_svm": Classifier(
         _without_schema(linear.train_linear_svm), linear.predict_linear_svm,
         _load_linear_svm, {}),

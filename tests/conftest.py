@@ -64,7 +64,7 @@ def fixture_dataset(mode=PER_SEASON):
     dataset = load_matches(fixture_path("matches.csv"))
     players = load_player_performances(fixture_path("players.csv"))
     ledger = build_ledger(REFERENCE_POINTS_MODEL, players, dataset, mode=mode)
-    return encode(dataset, ledger, build_schema(dataset))
+    return encode(dataset, ledger.weight_for, build_schema(dataset))
 
 
 @pytest.fixture(scope="session")

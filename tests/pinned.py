@@ -145,7 +145,10 @@ def _register(group, case, *args):
 # layout. The gradient-boosting digests are unchanged from the depth-first
 # grower that breadth-first growth replaced, and equal the digests of
 # format_version 1 documents (nested trees) of the same models converted
-# to the table. The random-forest digests were re-recorded for
+# to the table, except that ``golden/fixture-gradient_boosting-2``, grown
+# at the default ``n_rounds``, was re-recorded when that default went from
+# 100 to 50 (``golden/separable-gradient_boosting-4`` sets 30 itself). The
+# random-forest digests were re-recorded for
 # breadth-first growth: a tree draws the candidate columns of all its open
 # nodes at a level in one call, where the depth-first grower drew them
 # node by node, and ``golden/fixture-random_forest-0``, the one case grown
@@ -201,8 +204,8 @@ for i, (source, kind, hyperparameters) in enumerate([
 
 
 # --- output: what cv --k 5, report (of a model trained with
-# --holdout-season 2017) and select-features --target-count 3 print and
-# write on the fixture at the default seed. A last-digit change in any
+# --holdout-season 2017, given no players file) and select-features
+# --target-count 3 print and write on the fixture at the default seed. A last-digit change in any
 # printed or written metric moves a key even where every bound holds.
 
 @_in_tmp
@@ -214,7 +217,7 @@ def _cv(out, kind):
 @_in_tmp
 def _report(out, kind):
     _cli(out, "train", *FIXTURE, "--kind", kind, "--holdout-season", "2017")
-    stdout = _cli(out, "report", *FIXTURE, "--model", out / f"model_{kind}.json",
+    stdout = _cli(out, "report", *FIXTURE[:2], "--model", out / f"model_{kind}.json",
                   "--holdout-season", "2017")
     return {"stdout": stdout,
             **_files(out, "holdout_report.csv", "holdout_predictions.csv")}
@@ -273,7 +276,7 @@ _register("classifiers/naive_bayes-dummy-columns-only", _naive_bayes_dummies)
 
 # --- cli: the fixture's other command outputs: ingest, team-weights in
 # each mode, and predict of one toss for each kind but gradient boosting,
-# whose probability on this toss moves from 0.8297 to 0.8104 with numpy's
+# whose probability on this toss moves from 0.7311 to 0.7048 with numpy's
 # AVX-512 dispatch off (its fixture trees are host-bound: README's
 # "Pinned outputs")
 
@@ -346,7 +349,7 @@ def _league_101(out):
             blobs[f"train-{run}/model_{kind}.json"] = model.read_bytes()
             reported = docs / f"report_{kind}"
             blobs[f"report-{run}-{kind}/stdout"] = _cli(
-                reported, "report", *data, "--model", model, "--holdout-season", "2018")
+                reported, "report", *data[:2], "--model", model, "--holdout-season", "2018")
             for name, blob in _files(reported, "holdout_report.csv",
                                      "holdout_predictions.csv").items():
                 blobs[f"report-{run}-{kind}/{name}"] = blob

@@ -8,7 +8,8 @@ import pytest
 from cricpred.cli import _one_line_warnings, _points_model, main
 from cricpred.dataset import load_matches, load_player_performances
 from cricpred.errors import EpochCap, UnseenCategory
-from cricpred.models import FORMAT_VERSION, mlp
+from cricpred.features import CATEGORICAL_FEATURES, encode_values
+from cricpred.models import FORMAT_VERSION, KINDS, load_document, mlp
 from cricpred.scoring import fit_points_model
 from cricpred.strength import PER_MATCH, PER_SEASON, build_ledger
 
@@ -297,6 +298,49 @@ class TestCvAndReport:
         assert len(preds) == int(metrics["n_evaluated"])
         assert set(preds[0]) == {"match_id", "probability", "predicted",
                                  "actual"}
+
+    @pytest.mark.parametrize("mode", [PER_SEASON, PER_MATCH])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_report_scores_what_predict_serves(self, capsys, tmp_path, trained,
+                                               kind, mode):
+        """Each holdout probability is exactly predict's for that match:
+        the team's last training-season weight, its encode_values row and
+        predict_proba_matrix of that one row."""
+        model = trained(kind, mode)
+        code, _, _ = run(capsys, "report", "--matches", fixture_path("matches.csv"),
+                         "--model", model, "--holdout-season", "2017",
+                         "--out-dir", str(tmp_path))
+        assert code == 0
+        document = load_document(model)
+        served = {team: weight for team, _, _, weight in document.ledger.rows()}
+        holdout = load_matches(fixture_path("matches.csv")).restrict({2017}).decisive()
+        with open(tmp_path / "holdout_predictions.csv", newline="", encoding="utf-8") as fh:
+            reported = list(csv.DictReader(fh))
+        assert [r["match_id"] for r in reported] == [m.match_id for m in holdout]
+        for r, m in zip(reported, holdout):
+            row = encode_values(
+                document.model.schema,
+                {name: getattr(m, name) for name in CATEGORICAL_FEATURES},
+                {"home_team_weight": served[m.home_team],
+                 "away_team_weight": served[m.away_team]})
+            assert float(r["probability"]) == float(
+                document.model.predict_proba_matrix(row)[0]), r["match_id"]
+
+    def test_report_reads_no_players_file(self, capsys, tmp_path, trained):
+        """``--players`` is accepted and ignored: naming a file that does
+        not exist changes nothing that report prints or writes."""
+        outputs = []
+        for i, players in enumerate([[], ["--players", str(tmp_path / "none.csv")]]):
+            out = tmp_path / str(i)
+            code, stdout, _ = run(capsys, "report", "--matches", fixture_path("matches.csv"),
+                                  *players, "--model", trained(), "--holdout-season",
+                                  "2017", "--out-dir", str(out))
+            assert code == 0
+            outputs.append((stdout, (out / "holdout_report.csv").read_bytes(),
+                            (out / "holdout_predictions.csv").read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert ("team weights: each team's last training-season weight, "
+                "as predict serves them") in outputs[0][0].splitlines()
 
     def test_report_missing_season_exit_2(self, capsys, tmp_path, trained):
         fault(capsys, tmp_path, trained, "report-season-without-matches")

@@ -47,9 +47,9 @@ def predict(model, home="CSK", away="RR", toss_winner="CSK"):
             "--toss-winner", toss_winner, *TOSS]
 
 
-def report(tmp, model):
-    return ["report", *DATA, "--holdout-season", "2017", "--out-dir", str(tmp),
-            "--model", model]
+def report(tmp, model, matches=MATCHES):
+    return ["report", "--matches", matches, "--holdout-season", "2017",
+            "--out-dir", str(tmp), "--model", model]
 
 
 def write(tmp, name, text):
@@ -90,6 +90,13 @@ def washouts(tmp, *seasons):
     return rewritten(tmp, MATCHES, lambda rows: [
         row.rsplit(",", 1)[0] + "," if row.split(",")[1] in seasons else row
         for row in rows])
+
+
+def srh_at_home(rows):
+    """The first 2017 row, RCB v RR, as SRH v RR with SRH winning: the
+    fixture has no SRH matches, so no document serves an SRH weight."""
+    first = next(i for i, row in enumerate(rows) if row.split(",")[1] == "2017")
+    return [*rows[:first], rows[first].replace("RCB", "SRH"), *rows[first + 1:]]
 
 
 def alike(rows):
@@ -368,6 +375,13 @@ FAULTS = [
      "team SRH is absent from the model's weight ledger and no cold-start data exists"),
     ("predict-document-without-weights", 4, False,
      lambda t, m: predict(edited(t, m, lambda d: d.update(team_weights=None)))),
+    # report scores the weights predict serves, under predict's checks
+    ("report-document-without-weights", 4, False,
+     lambda t, m: report(t, edited(t, m, lambda d: d.update(team_weights=None))),
+     "model document carries no team weights"),
+    ("report-team-absent-from-ledger", 4, False,
+     lambda t, m: report(t, m, rewritten(t, MATCHES, srh_at_home)),
+     "team SRH is absent from the model's weight ledger and no cold-start data exists"),
 ]
 
 

@@ -132,7 +132,7 @@ class TestEncode:
         ledger = build_ledger(REFERENCE_POINTS_MODEL, players, dataset,
                               mode=PER_SEASON)
         schema = build_schema(dataset)
-        encoded = encode(dataset, ledger, schema)
+        encoded = encode(dataset, ledger.weight_for, schema)
         slices = schema.group_slices()
         w1_col = slices["home_team_weight"][0]
         w2_col = slices["away_team_weight"][0]
@@ -179,7 +179,7 @@ class TestEncode:
             REFERENCE_POINTS_MODEL,
             [_perf(t) for t in sorted(TEAMS)],
             dataset, mode=PER_SEASON)
-        encoded = encode(dataset, ledger, schema)
+        encoded = encode(dataset, ledger.weight_for, schema)
         for name, cats in schema.categorical_groups:
             if len(cats) < 2:
                 continue
@@ -194,7 +194,7 @@ class TestEncode:
         ledger = build_ledger(REFERENCE_POINTS_MODEL,
                               [_perf("CSK"), _perf("RR")], dataset,
                               mode=PER_SEASON)
-        encoded = encode(dataset, ledger, build_schema(dataset))
+        encoded = encode(dataset, ledger.weight_for, build_schema(dataset))
         assert encoded.row_ids == ("m0",)
 
 

@@ -8,7 +8,8 @@ A league is a ``perfbench/league.py`` seed (the file is only read) or
 ``fixture``, encoded by the code ``cricpred cv --mode per_season`` runs.
 Each value trains the kind's spec at seed 0 with only that hyperparameter
 set, and predicts each row from the model trained on the other folds of
-``stratified_folds(y, K, SEED)``. Printed: each league's and the mean
+``stratified_folds(y, K, SEED)`` (``evaluation.out_of_fold``, the loop
+``cricpred cv`` runs). Printed: each league's and the mean
 out-of-fold accuracy (``p >= 0.5`` predicts a home win) and Brier score.
 Values are read as JSON: ``null``, ``true``, ``1e-2``.
 """
@@ -23,7 +24,7 @@ import numpy as np
 
 from cricpred.cli import _encoded_dataset
 from cricpred.dataset import load_matches, load_player_performances
-from cricpred.evaluation import fit_predict, report_from_predictions, stratified_folds
+from cricpred.evaluation import out_of_fold, report_from_predictions
 from cricpred.models import make_spec
 from cricpred.strength import PER_SEASON
 
@@ -44,16 +45,6 @@ def encoded(league):
     return _encoded_dataset(argparse.Namespace(mode=PER_SEASON), dataset, players)[0]
 
 
-def out_of_fold(spec, data):
-    """Each row's class-1 probability from the model that did not see it."""
-    p = np.empty(len(data.y))
-    for members in stratified_folds(data.y, K, SEED):
-        rows = np.ones(len(data.y), dtype=bool)
-        rows[members] = False
-        p[members] = fit_predict(spec, data, rows)
-    return p
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("kind")
@@ -67,7 +58,7 @@ def main():
         spec = make_spec(args.kind, seed=SEED, **{args.name: value})
         scores = []
         for league, data in datasets.items():
-            p = out_of_fold(spec, data)
+            p, _ = out_of_fold(spec, data, K, SEED)
             scores.append((report_from_predictions(data.y, p).accuracy,
                            float(np.mean((p - data.y) ** 2))))
             print(f"{json.dumps(value):>10}  {league:>7}  {scores[-1][0]:8.4f}  "
