@@ -28,9 +28,9 @@ from pathlib import Path
 from . import errors
 from .dataset import load_matches, load_player_performances
 from .evaluation import cross_validate, evaluate_holdout
-from .features import build_schema, encode, encode_values, rank_features, rfe_select
+from .features import encode, encode_values, rank_features, rfe_select, training_matrix
 from .models import base as model_base
-from .scoring import REFERENCE_POINTS_MODEL, fit_points_model
+from .scoring import fit_points_model, points_model_for
 from .strength import PER_MATCH, PER_SEASON, build_ledger
 
 # The keys a config file may set; the inputs of one prediction are flags only.
@@ -77,16 +77,6 @@ def _load_inputs(args):
     return load_matches(args.matches), load_player_performances(args.players)
 
 
-def _points_model(players):
-    """Fit when official points are available, else the bundled reference."""
-    try:
-        return fit_points_model(players), "fitted"
-    except errors.InsufficientData:
-        return REFERENCE_POINTS_MODEL, "reference"
-    except errors.RankDeficient:
-        return REFERENCE_POINTS_MODEL, "reference (fit was rank deficient)"
-
-
 def _write_csv(path, header, rows):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -124,7 +114,7 @@ def cmd_fit_points(args):
 
 def cmd_team_weights(args):
     dataset, players = _load_inputs(args)
-    points, origin = _points_model(players)
+    points, origin = points_model_for(players)
     ledger = build_ledger(points, players, dataset, mode=args.mode)
     rows = [(t, s, a, repr(w)) for t, s, a, w in ledger.rows()]
     out = Path(args.out_dir) / "team_weights.csv"
@@ -135,15 +125,8 @@ def cmd_team_weights(args):
     return 0
 
 
-def _encoded_dataset(args, dataset, players):
-    points, origin = _points_model(players)
-    ledger = build_ledger(points, players, dataset, mode=args.mode)
-    encoded = encode(dataset, ledger.weight_for, build_schema(dataset))
-    return encoded, points, ledger, origin
-
-
 def cmd_select_features(args):
-    encoded, *_ = _encoded_dataset(args, *_load_inputs(args))
+    encoded = training_matrix(*_load_inputs(args), args.mode)[0]
     target = args.target_count
     if target is None:
         target = len(encoded.schema.feature_names())
@@ -166,25 +149,9 @@ def cmd_select_features(args):
     return 0
 
 
-def _training_seasons(dataset, holdout_season):
-    seasons = dataset.seasons()
-    if holdout_season is None:
-        return set(seasons)
-    training = {s for s in seasons if s < holdout_season}
-    if not training:
-        raise errors.ModelError(
-            f"holdout season {holdout_season} overlaps the entire training "
-            f"range (seasons {seasons})")
-    return training
-
-
 def cmd_train(args):
-    dataset, players = _load_inputs(args)
-    training = dataset.restrict(_training_seasons(dataset, args.holdout_season))
-    if args.holdout_season is not None:
-        # the points model sees no player row of the holdout season or later
-        players = [p for p in players if p.season < args.holdout_season]
-    encoded, points, ledger, origin = _encoded_dataset(args, training, players)
+    encoded, points, ledger, origin = training_matrix(
+        *_load_inputs(args), args.mode, args.holdout_season)
     if args.target_count is not None:
         # the ranking alone: select-features prints the subset scores
         selected = rank_features(encoded, args.target_count)[:args.target_count]
@@ -203,7 +170,7 @@ def cmd_train(args):
 
 
 def cmd_cv(args):
-    encoded, *_ = _encoded_dataset(args, *_load_inputs(args))
+    encoded = training_matrix(*_load_inputs(args), args.mode)[0]
     spec = model_base.make_spec(args.kind, seed=args.seed)
     report = cross_validate(spec, encoded, args.k, args.seed)
     _print_report(report, f"{args.k}-fold stratified CV, {args.kind}")

@@ -1,21 +1,26 @@
-"""Feature pipeline: k-1 dummy encoding with group metadata, and grouped
-recursive feature elimination over the original (pre-encoding) features."""
+"""Feature pipeline: the training matrix (points model, team-weight ledger
+and k-1 dummy encoding with group metadata), and grouped recursive feature
+elimination over the original (pre-encoding) features."""
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from .dataset import MatchDataset, label_of
-from .errors import EmptyDataset, TargetTooLarge, TooFewRows, UnseenCategory
+from .errors import EmptyDataset, ModelError, TargetTooLarge, TooFewRows, UnseenCategory
 from .evaluation import cross_validate
 from .models.base import make_spec
 from .models.linear import fit_logistic
+from .scoring import points_model_for
+from .strength import build_ledger
 
 CATEGORICAL_FEATURES = ["home_team", "away_team", "toss_winner", "toss_decision", "venue"]
 NUMERIC_FEATURES = ["home_team_weight", "away_team_weight"]
@@ -35,32 +40,27 @@ class FeatureSchema:
     categorical_groups: tuple  # of (name, tuple of sorted categories)
     numeric_features: tuple = field(default=tuple(NUMERIC_FEATURES))
 
+    @cached_property
+    def edges(self):
+        """Each feature's first column, in ``feature_names()`` order, then
+        the column count: feature ``i`` spans ``edges[i]:edges[i + 1]``."""
+        widths = [len(cats) - 1 for _, cats in self.categorical_groups]
+        widths += [1] * len(self.numeric_features)
+        return tuple(itertools.accumulate(widths, initial=0))
+
     @property
     def total_columns(self):
-        return (sum(len(cats) - 1 for _, cats in self.categorical_groups)
-                + len(self.numeric_features))
+        return self.edges[-1]
 
     def feature_names(self):
         return [name for name, _ in self.categorical_groups] + list(self.numeric_features)
 
     def group_slices(self):
         """Original feature name -> (start, stop) column range."""
-        slices = {}
-        start = 0
-        for name, cats in self.categorical_groups:
-            width = len(cats) - 1
-            slices[name] = (start, start + width)
-            start += width
-        for name in self.numeric_features:
-            slices[name] = (start, start + 1)
-            start += 1
-        return slices
+        return dict(zip(self.feature_names(), zip(self.edges, self.edges[1:])))
 
     def binary_mask(self):
-        mask = np.zeros(self.total_columns, dtype=bool)
-        n_dummy = self.total_columns - len(self.numeric_features)
-        mask[:n_dummy] = True
-        return mask
+        return np.arange(self.total_columns) < self.edges[len(self.categorical_groups)]
 
     def to_dict(self):
         return {
@@ -117,10 +117,7 @@ class EncodedDataset:
                 (n, c) for n, c in self.schema.categorical_groups if n in keep),
             numeric_features=tuple(
                 n for n in self.schema.numeric_features if n in keep))
-        cols = []
-        for name in new_schema.feature_names():
-            start, stop = slices[name]
-            cols.extend(range(start, stop))
+        cols = [c for name in new_schema.feature_names() for c in range(*slices[name])]
         return EncodedDataset(X=self.X[:, cols], y=self.y,
                               schema=new_schema, row_ids=self.row_ids)
 
@@ -137,10 +134,9 @@ def build_schema(dataset: MatchDataset) -> FeatureSchema:
 def encode_values(schema: FeatureSchema, categorical: dict, numeric: dict) -> np.ndarray:
     """Encode one observation. Unseen categories map to the all-zero block
     (same as the dropped category) with a warning."""
-    row = np.zeros(schema.total_columns)
-    start = 0
-    for name, cats in schema.categorical_groups:
-        width = len(cats) - 1
+    edges = schema.edges
+    row = np.zeros(edges[-1])
+    for (name, cats), start in zip(schema.categorical_groups, edges):
         value = categorical[name]
         if value not in cats:
             warnings.warn(
@@ -148,23 +144,19 @@ def encode_values(schema: FeatureSchema, categorical: dict, numeric: dict) -> np
                 UnseenCategory, stacklevel=2)
         elif value != cats[0]:
             row[start + cats.index(value) - 1] = 1.0
-        start += width
-    for name in schema.numeric_features:
+    for name, start in zip(schema.numeric_features,
+                           edges[len(schema.categorical_groups):]):
         row[start] = numeric[name]
-        start += 1
     return row
 
 
 def decode_row(schema: FeatureSchema, row) -> dict:
     """Recover the categorical values of an encoded row."""
     values = {}
-    start = 0
-    for name, cats in schema.categorical_groups:
-        width = len(cats) - 1
-        block = row[start:start + width]
-        hot = np.flatnonzero(block)
+    for (name, cats), start, stop in zip(schema.categorical_groups, schema.edges,
+                                         schema.edges[1:]):
+        hot = np.flatnonzero(row[start:stop])
         values[name] = cats[0] if hot.size == 0 else cats[int(hot[0]) + 1]
-        start += width
     return values
 
 
@@ -186,6 +178,28 @@ def encode(dataset: MatchDataset, weight_for: Callable,
     X = np.array(rows, dtype=np.float64).reshape(len(rows), schema.total_columns)
     return EncodedDataset(X=X, y=np.array(labels, dtype=np.int64),
                           schema=schema, row_ids=tuple(ids))
+
+
+def training_matrix(dataset: MatchDataset, players, mode: str,
+                    holdout_season: int | None = None):
+    """``(encoded, points, ledger, origin)``: the matrix ``train``, ``cv``
+    and ``select-features`` fit on, and the points model (``origin`` from
+    ``points_model_for``) and ``mode`` ledger it is built from. With
+    ``holdout_season``, the seasons and player rows before it only; one
+    that leaves no season is a ``ModelError``."""
+    if holdout_season is not None:
+        seasons = dataset.seasons()
+        training = {s for s in seasons if s < holdout_season}
+        if not training:
+            raise ModelError(
+                f"holdout season {holdout_season} overlaps the entire training "
+                f"range (seasons {seasons})")
+        dataset = dataset.restrict(training)
+        players = [p for p in players if p.season < holdout_season]
+    points, origin = points_model_for(players)
+    ledger = build_ledger(points, players, dataset, mode=mode)
+    encoded = encode(dataset, ledger.weight_for, build_schema(dataset))
+    return encoded, points, ledger, origin
 
 
 @dataclass(frozen=True)

@@ -72,6 +72,17 @@ def fit_points_model(performances) -> PointsModel:
     return PointsModel(*(float(b) for b in beta))
 
 
+def points_model_for(performances):
+    """``(model, origin)``: the fit when the rows carry enough official
+    points, else ``REFERENCE_POINTS_MODEL``; ``origin`` says which."""
+    try:
+        return fit_points_model(performances), "fitted"
+    except InsufficientData:
+        return REFERENCE_POINTS_MODEL, "reference"
+    except RankDeficient:
+        return REFERENCE_POINTS_MODEL, "reference (fit was rank deficient)"
+
+
 def _describe_dependent_column(X):
     names = ["intercept"] + STAT_FIELDS
     for j in range(1, X.shape[1]):

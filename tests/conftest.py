@@ -1,4 +1,5 @@
 import base64
+import csv
 import importlib.resources
 
 import numpy as np
@@ -6,9 +7,8 @@ import pytest
 
 from cricpred.cli import main
 from cricpred.dataset import load_matches, load_player_performances
-from cricpred.features import EncodedDataset, FeatureSchema, build_schema, encode
-from cricpred.scoring import REFERENCE_POINTS_MODEL
-from cricpred.strength import PER_MATCH, PER_SEASON, build_ledger
+from cricpred.features import EncodedDataset, FeatureSchema, training_matrix
+from cricpred.strength import PER_MATCH, PER_SEASON
 
 
 def fixture_path(name):
@@ -60,11 +60,35 @@ def grown_lists(table):
 
 
 def fixture_dataset(mode=PER_SEASON):
-    """The bundled fixture, encoded by the default pipeline."""
-    dataset = load_matches(fixture_path("matches.csv"))
-    players = load_player_performances(fixture_path("players.csv"))
-    ledger = build_ledger(REFERENCE_POINTS_MODEL, players, dataset, mode=mode)
-    return encode(dataset, ledger.weight_for, build_schema(dataset))
+    """The bundled fixture, encoded as ``cv`` encodes it."""
+    return training_matrix(load_matches(fixture_path("matches.csv")),
+                           load_player_performances(fixture_path("players.csv")),
+                           mode)[0]
+
+
+def official_players(tmp_path, rows=None, stumpings=None, first=None):
+    """A copy of the fixture's players CSV with official points on the
+    first ``rows`` player rows (all when None), with every ``stumpings``
+    replaced when it is given, and the first row's points ``first`` when
+    that is given."""
+    with open(fixture_path("players.csv"), newline="", encoding="utf-8") as fh:
+        players = list(csv.DictReader(fh))
+    for i, row in enumerate(players):
+        if stumpings is not None:
+            row["stumpings"] = stumpings
+        if rows is None or i < rows:
+            row["official_points"] = str(
+                25 * int(row["wickets"]) + int(row["dot_balls"])
+                + 4 * int(row["fours"]) + 6 * int(row["sixes"])
+                + 8 * int(row["catches"]) + 12 * int(row["stumpings"]) + i % 5)
+    if first is not None:
+        players[0]["official_points"] = first
+    path = tmp_path / "players.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(players[0]))
+        writer.writeheader()
+        writer.writerows(players)
+    return str(path)
 
 
 @pytest.fixture(scope="session")
@@ -107,6 +131,17 @@ def match_like_schema(n_teams=4, n_venues=3):
     ))
 
 
+def random_rows(n, rng, schema):
+    """``n`` rows of ``schema``'s columns, each dummy block set at a
+    category drawn from ``rng``, group by group; numeric columns zero."""
+    X = np.zeros((n, schema.total_columns))
+    for (_, cats), start in zip(schema.categorical_groups, schema.edges):
+        picks = rng.integers(0, len(cats), size=n)
+        hot = np.flatnonzero(picks)
+        X[hot, start + picks[hot] - 1] = 1.0
+    return X
+
+
 def separable_dataset(n=500, seed=0, margin=5.0):
     """Random match-shaped rows whose label is decided by the weight gap.
 
@@ -115,22 +150,12 @@ def separable_dataset(n=500, seed=0, margin=5.0):
     """
     rng = np.random.default_rng(seed)
     schema = match_like_schema()
-    X = np.zeros((n, schema.total_columns))
-    slices = schema.group_slices()
-    for name, cats in schema.categorical_groups:
-        start, stop = slices[name]
-        picks = rng.integers(0, len(cats), size=n)
-        for i in range(n):
-            if picks[i] > 0:
-                X[i, start + picks[i] - 1] = 1.0
+    X = random_rows(n, rng, schema)
     base = rng.normal(100.0, 5.0, size=n)
     gap = np.sign(rng.normal(size=n)) * (margin + np.abs(rng.normal(0, 12, size=n)))
-    w_home = base + gap / 2
-    w_away = base - gap / 2
-    s1, _ = slices["home_team_weight"]
-    s2, _ = slices["away_team_weight"]
-    X[:, s1] = w_home
-    X[:, s2] = w_away
+    slices = schema.group_slices()
+    X[:, slices["home_team_weight"][0]] = base + gap / 2
+    X[:, slices["away_team_weight"][0]] = base - gap / 2
     y = (gap > 0).astype(np.int64)
     return EncodedDataset(X=X, y=y, schema=schema,
                           row_ids=tuple(f"m{i}" for i in range(n)))
@@ -140,17 +165,10 @@ def planted_signal_dataset(n=240, seed=0):
     """Labels depend only on toss_decision and home_team_weight."""
     rng = np.random.default_rng(seed)
     schema = match_like_schema()
-    X = np.zeros((n, schema.total_columns))
+    X = random_rows(n, rng, schema)
     slices = schema.group_slices()
-    for name, cats in schema.categorical_groups:
-        start, _ = slices[name]
-        picks = rng.integers(0, len(cats), size=n)
-        for i in range(n):
-            if picks[i] > 0:
-                X[i, start + picks[i] - 1] = 1.0
-    toss_col = slices["toss_decision"][0]
-    w1_col = slices["home_team_weight"][0]
-    w2_col = slices["away_team_weight"][0]
+    toss_col, w1_col, w2_col = (slices[name][0] for name in (
+        "toss_decision", "home_team_weight", "away_team_weight"))
     X[:, w1_col] = rng.normal(100, 15, n)
     X[:, w2_col] = rng.normal(100, 15, n)
     score = 0.3 * (X[:, w1_col] - 100) + 6.0 * X[:, toss_col] - 3.0

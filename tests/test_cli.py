@@ -5,15 +5,16 @@ from pathlib import Path
 
 import pytest
 
-from cricpred.cli import _one_line_warnings, _points_model, main
+from cricpred.cli import _one_line_warnings, main
 from cricpred.dataset import load_matches, load_player_performances
 from cricpred.errors import EpochCap, UnseenCategory
-from cricpred.features import CATEGORICAL_FEATURES, encode_values
+from cricpred.features import (CATEGORICAL_FEATURES, encode_values, rank_features,
+                               training_matrix)
 from cricpred.models import FORMAT_VERSION, KINDS, load_document, mlp
 from cricpred.scoring import fit_points_model
-from cricpred.strength import PER_MATCH, PER_SEASON, build_ledger
+from cricpred.strength import PER_MATCH, PER_SEASON
 
-from conftest import fixture_path
+from conftest import fixture_path, official_players
 from pinned import digest_test
 from test_cli_faults import fault
 
@@ -42,28 +43,6 @@ class TestIngest:
         fault(capsys, tmp_path, trained, "ingest-malformed-header")
 
 
-def official_players(tmp_path, rows=None, stumpings=None):
-    """A copy of the fixture's players CSV with official points on the
-    first ``rows`` player rows (all when None), and with every
-    ``stumpings`` replaced when it is given."""
-    with open(fixture_path("players.csv"), newline="", encoding="utf-8") as fh:
-        players = list(csv.DictReader(fh))
-    for i, row in enumerate(players):
-        if stumpings is not None:
-            row["stumpings"] = stumpings
-        if rows is None or i < rows:
-            row["official_points"] = str(
-                25 * int(row["wickets"]) + int(row["dot_balls"])
-                + 4 * int(row["fours"]) + 6 * int(row["sixes"])
-                + 8 * int(row["catches"]) + 12 * int(row["stumpings"]) + i % 5)
-    path = tmp_path / "players.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(players[0]))
-        writer.writeheader()
-        writer.writerows(players)
-    return str(path)
-
-
 class TestTrain:
     def test_kind_all_writes_six_documents(self, trained):
         out = Path(trained()).parent
@@ -81,14 +60,17 @@ class TestTrain:
         fault(capsys, tmp_path, trained, "train-holdout-covers-every-season")
 
     def test_config_file_supplies_paths(self, capsys, tmp_path, data_args):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"matches = {data_args[1]}\n"
-                       f"players = {data_args[3]}\n"
-                       "kind = naive_bayes\n"
-                       f"out_dir = {tmp_path}\n", encoding="utf-8")
-        code, out, _ = run(capsys, "train", "--config", str(cfg))
-        assert code == 0
-        assert (tmp_path / "model_naive_bayes.json").exists()
+        """Blank lines and ``#`` lines are skipped: a file with them writes
+        the document that the file without them writes."""
+        documents = []
+        for i, skipped in enumerate(["", "\n# kind = mlp\n   \n"]):
+            cfg = tmp_path / f"run{i}.cfg"
+            cfg.write_text(f"matches = {data_args[1]}\n{skipped}players = {data_args[3]}\n"
+                           f"kind = naive_bayes\nout_dir = {tmp_path / str(i)}\n",
+                           encoding="utf-8")
+            assert run(capsys, "train", "--config", str(cfg))[0] == 0
+            documents.append((tmp_path / f"{i}/model_naive_bayes.json").read_bytes())
+        assert documents[0] == documents[1]
 
     def test_unknown_config_key_exit_2(self, capsys, tmp_path, trained):
         fault(capsys, tmp_path, trained, "train-config-unknown-key")
@@ -106,6 +88,22 @@ class TestTrain:
         assert code == 0
         assert f"points model: {origin})" in out
 
+    def test_target_count_trains_each_kind_on_the_ranked_features(
+            self, capsys, tmp_path, data_args):
+        """The benchmark's training command: RFE's ranking of the training
+        matrix picks the columns of every document."""
+        code, out, _ = run(capsys, "train", *data_args, "--kind", "all", "--mode",
+                           PER_MATCH, "--target-count", "3", "--holdout-season",
+                           "2017", "--out-dir", str(tmp_path))
+        assert code == 0
+        encoded = training_matrix(load_matches(data_args[1]),
+                                  load_player_performances(data_args[3]), PER_MATCH, 2017)[0]
+        selected = rank_features(encoded, 3)[:3]
+        assert out.splitlines()[0] == f"RFE selected: {', '.join(selected)}"
+        for kind in KINDS:
+            path = tmp_path / f"model_{kind}.json"
+            assert load_document(path).model.schema == encoded.subset(selected).schema
+
     def test_holdout_season_is_not_in_the_points_fit(self, capsys, tmp_path,
                                                      data_args):
         """With ``--holdout-season``, the points model is fitted on the
@@ -120,6 +118,18 @@ class TestTrain:
         earlier = fit_points_model([p for p in players if p.season < 2017])
         assert doc["points_model"] == earlier.to_dict()
         assert earlier != fit_points_model(players)
+
+
+def test_fit_points_prints_and_writes_the_fit(capsys, tmp_path, data_args):
+    path = official_players(tmp_path)
+    code, out, _ = run(capsys, "fit-points", *data_args[:2], "--players", path,
+                       "--out-dir", str(tmp_path))
+    assert code == 0
+    fitted = fit_points_model(load_player_performances(path)).to_dict()
+    assert out.splitlines()[:7] == [f"{key} = {value:.10g}"
+                                    for key, value in fitted.items()]
+    assert json.loads((tmp_path / "points_model.json").read_text(encoding="utf-8")) == {
+        "format_version": 4, "points_model": fitted}
 
 
 class TestPredict:
@@ -230,19 +240,17 @@ def test_document_serves_each_teams_last_row(capsys, tmp_path, data_args,
     path = tmp_path / "model_logistic_regression.json"
     doc = json.loads(path.read_text(encoding="utf-8"))
     dataset = load_matches(data_args[1])
-    if holdout is not None:
-        dataset = dataset.restrict({s for s in dataset.seasons() if s < holdout})
-    players = load_player_performances(data_args[3])
-    ledger = build_ledger(_points_model(players)[0], players, dataset, mode=mode)
+    encoded, _, ledger, _ = training_matrix(
+        dataset, load_player_performances(data_args[3]), mode, holdout)
     last = {team: weight for team, _, _, weight in ledger.rows()}
     assert doc["team_weights"] == ledger.latest().to_dict()
     assert sorted(e["team"] for e in doc["team_weights"]["entries"]) == sorted(last)
     old = tmp_path / "whole_ledger.json"
     old.write_text(json.dumps({**doc, "team_weights": ledger.to_dict()}),
                    encoding="utf-8")
-    covered = set()
-    for m in dataset.matches:  # every team, on inputs the schema has seen
-        if {m.home_team, m.away_team} <= covered:
+    covered, trained_on = set(), set(encoded.row_ids)
+    for m in dataset.matches:  # every team, on inputs the document trained on
+        if m.match_id not in trained_on or {m.home_team, m.away_team} <= covered:
             continue
         covered |= {m.home_team, m.away_team}
         toss = ["--home", m.home_team, "--away", m.away_team, "--venue", m.venue,
@@ -278,13 +286,8 @@ class TestCvAndReport:
         assert "4-fold stratified CV" in out
         assert (tmp_path / "cv_report_naive_bayes.csv").exists()
 
-    def test_report_emits_files(self, capsys, tmp_path, data_args):
-        code, _, _ = run(capsys, "train", *data_args, "--kind", "mlp",
-                         "--holdout-season", "2017",
-                         "--out-dir", str(tmp_path))
-        assert code == 0
-        code, out, _ = run(capsys, "report", *data_args,
-                           "--model", str(tmp_path / "model_mlp.json"),
+    def test_report_emits_files(self, capsys, tmp_path, data_args, trained):
+        code, out, _ = run(capsys, "report", *data_args, "--model", trained("mlp"),
                            "--holdout-season", "2017",
                            "--out-dir", str(tmp_path))
         assert code == 0

@@ -17,9 +17,11 @@ import pytest
 
 from cricpred import errors
 from cricpred.cli import main
+from cricpred.dataset import MATCH_COLUMNS, PLAYER_COLUMNS
 from cricpred.strength import PER_MATCH, PER_SEASON
 
-from conftest import fixture_path, stored_lists, stored_strings, table_lists
+from conftest import (fixture_path, official_players, stored_lists, stored_strings,
+                      table_lists)
 
 MATCHES = fixture_path("matches.csv")
 PLAYERS = fixture_path("players.csv")
@@ -85,6 +87,23 @@ def appended(tmp, csv_path, row):
     return rewritten(tmp, csv_path, lambda rows: [*rows, row])
 
 
+# a row each file takes as it stands; ``ingest_match`` and ``ingest_player``
+# append one, edited, as row 68 of the matches or row 202 of the players file
+MATCH_ROW = dict(zip(MATCH_COLUMNS, "x1,2017,2017-05-01,CSK,RR,Wankhede Stadium,"
+                                     "CSK,bat,CSK".split(",")))
+PLAYER_ROW = dict(zip(PLAYER_COLUMNS, "2017,CSK,Zed,3,1,1,1,1,1,0,".split(",")))
+
+
+def ingest_match(tmp, **edit):
+    row = ",".join({**MATCH_ROW, **edit}.values())
+    return ["ingest", "--matches", appended(tmp, MATCHES, row), "--players", PLAYERS]
+
+
+def ingest_player(tmp, **edit):
+    row = ",".join({**PLAYER_ROW, **edit}.values())
+    return ["ingest", "--matches", MATCHES, "--players", appended(tmp, PLAYERS, row)]
+
+
 def washouts(tmp, *seasons):
     """A copy of the matches CSV whose rows of ``seasons`` have no winner."""
     return rewritten(tmp, MATCHES, lambda rows: [
@@ -105,17 +124,6 @@ def alike(rows):
     return [",".join([*row.split(",")[:3], "CSK", "RR", "Eden Gardens", "CSK",
                       "bat", ("CSK", "RR")[i % 2]])
             for i, row in enumerate(r for r in rows if r.split(",")[1] == "2016")]
-
-
-def official_points(tmp, value, stumpings=None):
-    """A copy of the players CSV in which every row has official points, the
-    first row ``value``; the fixture's rows leave the column empty. With
-    ``stumpings``, every row has that many stumpings."""
-    def edit(rows):
-        if stumpings is not None:
-            rows = [",".join([*row.split(",")[:9], stumpings, ""]) for row in rows]
-        return [rows[0] + value] + [row + str(i) for i, row in enumerate(rows[1:])]
-    return rewritten(tmp, PLAYERS, edit)
 
 
 def nested(tmp):
@@ -182,69 +190,60 @@ FAULTS = [
     ("ingest-short-players-row", 2, False,
      lambda t, m: ["ingest", "--matches", MATCHES,
                    "--players", appended(t, PLAYERS, "2017,CSK,Zed,3")]),
-    ("ingest-empty-match-id", 2, False,
-     lambda t, m: ["ingest", "--matches", appended(
-         t, MATCHES, ",2017,2017-05-01,CSK,RR,Wankhede Stadium,CSK,bat,CSK"),
-                   "--players", PLAYERS]),
-    ("ingest-blank-venue", 2, False,
-     lambda t, m: ["ingest", "--matches", appended(
-         t, MATCHES, "x1,2017,2017-05-01,CSK,RR,  ,CSK,bat,CSK"),
-                   "--players", PLAYERS]),
-    ("ingest-empty-player", 2, False,
-     lambda t, m: ["ingest", "--matches", MATCHES,
-                   "--players", appended(t, PLAYERS, "2017,CSK,,3,1,1,1,1,1,0,")]),
+    ("ingest-empty-file", 2, False,
+     lambda t, m: ["ingest", "--matches", write(t, "m.csv", ""), "--players", PLAYERS],
+     "m.csv: empty file, no header"),
+    ("ingest-empty-match-id", 2, False, lambda t, m: ingest_match(t, match_id="")),
+    ("ingest-season-not-an-integer", 2, False, lambda t, m: ingest_match(t, season="2017.0"),
+     "row 68: season='2017.0' is not an integer"),
+    ("ingest-blank-venue", 2, False, lambda t, m: ingest_match(t, venue="  ")),
+    ("ingest-home-equals-away", 2, False, lambda t, m: ingest_match(t, away_team="CSK"),
+     "row 68: home_team equals away_team (CSK)"),
+    ("ingest-winner-not-playing", 2, False, lambda t, m: ingest_match(t, winner="MI"),
+     "row 68: winner MI is not a participant"),
+    ("ingest-toss-decision-bowl", 2, False,
+     lambda t, m: ingest_match(t, toss_decision="bowl"),
+     "row 68: toss_decision must be bat or field, got 'bowl'"),
+    ("ingest-date-outside-its-season", 2, False,
+     lambda t, m: ingest_match(t, date="2019-05-01"),
+     "row 68: date 2019-05-01 inconsistent with season 2017"),
+    ("ingest-empty-player", 2, False, lambda t, m: ingest_player(t, player="")),
     # Python 3.11's date.fromisoformat reads both dates as 2017-05-01
-    ("ingest-date-20170501", 2, False,
-     lambda t, m: ["ingest", "--matches", appended(
-         t, MATCHES, "x1,2017,20170501,CSK,RR,Wankhede Stadium,CSK,bat,CSK"),
-                   "--players", PLAYERS],
+    ("ingest-date-20170501", 2, False, lambda t, m: ingest_match(t, date="20170501"),
      "edited_matches.csv row 68: bad date '20170501'"),
-    ("ingest-date-2017-W18-1", 2, False,
-     lambda t, m: ["ingest", "--matches", appended(
-         t, MATCHES, "x1,2017,2017-W18-1,CSK,RR,Wankhede Stadium,CSK,bat,CSK"),
-                   "--players", PLAYERS],
+    ("ingest-date-2017-W18-1", 2, False, lambda t, m: ingest_match(t, date="2017-W18-1"),
      "edited_matches.csv row 68: bad date '2017-W18-1'"),
-    ("ingest-unknown-team", 2, False,
-     lambda t, m: ["ingest", "--matches", appended(
-         t, MATCHES, "x1,2017,2017-05-01,CSK,ZZZ,Wankhede Stadium,CSK,bat,CSK"),
-                   "--players", PLAYERS], "row 68: unknown team acronym 'ZZZ'"),
-    ("ingest-negative-wickets", 2, False,
-     lambda t, m: ["ingest", "--matches", MATCHES, "--players",
-                   appended(t, PLAYERS, "2017,CSK,Zed,3,-1,1,1,1,1,0,")],
+    ("ingest-unknown-team", 2, False, lambda t, m: ingest_match(t, away_team="ZZZ"),
+     "row 68: unknown team acronym 'ZZZ'"),
+    ("ingest-unknown-player-team", 2, False, lambda t, m: ingest_player(t, team="ZZZ"),
+     "edited_players.csv row 202: unknown team acronym 'ZZZ'"),
+    ("ingest-negative-wickets", 2, False, lambda t, m: ingest_player(t, wickets="-1"),
      "row 202: wickets=-1 below 0"),
+    ("ingest-statistics-without-appearances", 2, False,
+     lambda t, m: ingest_player(t, appearances="0"),
+     "row 202: nonzero statistics with zero appearances"),
     ("ingest-player-twice", 2, False,
      lambda t, m: ["ingest", "--matches", MATCHES, "--players",
                    rewritten(t, PLAYERS, lambda rows: [*rows, rows[0]])],
      "row 202: duplicate player 'CSK2016P01' for CSK 2016 (first seen at row 2)"),
     # rows the csv module cannot read -> 2
     ("ingest-field-over-size-limit", 2, False,
-     lambda t, m: ["ingest", "--matches", appended(
-         t, MATCHES, "x1,2017,2017-05-01,CSK,RR," + "V" * 200_000 + ",CSK,bat,CSK"),
-                   "--players", PLAYERS]),
+     lambda t, m: ingest_match(t, venue="V" * 200_000)),
     ("ingest-unterminated-quote", 2, False,
      lambda t, m: ["ingest", "--matches", rewritten(
          t, MATCHES, lambda rows: [rows[0] + ',"unterminated', *rows[1:]]),
                    "--players", PLAYERS]),
     ("ingest-text-after-closing-quote", 2, False,
-     lambda t, m: ["ingest", "--matches", appended(
-         t, MATCHES, 'x1,2017,2017-05-01,CSK,RR,"Eden Gardens" ,CSK,bat,CSK'),
-                   "--players", PLAYERS]),
-    ("fit-points-official-points-nan", 2, False,
-     lambda t, m: ["fit-points", "--matches", MATCHES,
-                   "--players", official_points(t, "nan")]),
-    ("fit-points-official-points-inf", 2, False,
-     lambda t, m: ["fit-points", "--matches", MATCHES,
-                   "--players", official_points(t, "inf")]),
-    ("train-official-points-nan", 2, False,
-     lambda t, m: ["train", "--matches", MATCHES, "--players",
-                   official_points(t, "nan"), "--out-dir", str(t)]),
-    ("train-official-points-inf", 2, False,
-     lambda t, m: ["train", "--matches", MATCHES, "--players",
-                   official_points(t, "inf"), "--out-dir", str(t)]),
+     lambda t, m: ingest_match(t, venue='"Eden Gardens" ')),
+    *[(f"{command}-official-points-{value}", 2, False,
+       lambda t, m, command=command, value=value: [
+           command, "--matches", MATCHES, "--players", official_players(t, first=value),
+           "--out-dir", str(t)])
+      for command in ("fit-points", "train") for value in ("nan", "inf")],
     # no row has a stumping, so that column of the regression is all zero
     ("fit-points-rank-deficient", 2, False,
      lambda t, m: ["fit-points", "--matches", MATCHES, "--players",
-                   official_points(t, "0", stumpings="0")],
+                   official_players(t, stumpings="0")],
      "column 'stumpings' is linearly dependent"),
     ("fit-points-no-player-rows", 2, False,
      lambda t, m: ["fit-points", "--matches", MATCHES, "--players",
@@ -336,16 +335,19 @@ FAULTS = [
     ("predict-document-nested-too-deeply", 3, False, lambda t, m: predict(nested(t))),
     ("report-document-nested-too-deeply", 3, False, lambda t, m: report(t, nested(t))),
     ("predict-binary-document", 3, False, lambda t, m: predict(binary(t))),
-    ("predict-format-version-0", 3, False,
-     lambda t, m: predict(edited(t, m, lambda d: d.update(format_version=0)))),
-    # documents of versions 1 to 3: a logistic_regression document
-    # differs from them only in format_version
-    ("predict-format-version-1", 3, False,
-     lambda t, m: predict(edited(t, m, lambda d: d.update(format_version=1)))),
-    ("predict-format-version-2", 3, False,
-     lambda t, m: predict(edited(t, m, lambda d: d.update(format_version=2)))),
-    ("predict-format-version-3", 3, False,
-     lambda t, m: predict(edited(t, m, lambda d: d.update(format_version=3)))),
+    ("predict-document-without-format-version", 3, False,
+     lambda t, m: predict(edited(t, m, lambda d: d.pop("format_version"))),
+     "model document lacks a format_version"),
+    ("predict-naive-bayes-mask-not-the-schemas", 3, False,
+     lambda t, m: predict(edited(t, beside(m, "naive_bayes"),
+                                 lambda d: d["parameters"]["binary_mask"].reverse())),
+     "binary_mask differs from the schema's dummy columns"),
+    # no document has version 0; a logistic_regression document differs
+    # from one of versions 1 to 3 only in format_version
+    *[(f"predict-format-version-{version}", 3, False,
+       lambda t, m, version=version: predict(edited(
+           t, m, lambda d: d.update(format_version=version))))
+      for version in range(4)],
     ("report-format-version-1", 3, False,
      lambda t, m: report(t, edited(t, m, lambda d: d.update(format_version=1)))),
     ("predict-emptied-parameters", 3, False,

@@ -4,21 +4,20 @@ import itertools
 import numpy as np
 import pytest
 
-from cricpred.dataset import TEAMS, MatchDataset, MatchRecord
+from cricpred.dataset import TEAMS, MatchDataset, MatchRecord, load_matches
 from cricpred.errors import EmptyDataset, TargetTooLarge, TooFewRows
 from cricpred.features import (
     EncodedDataset,
     FeatureSchema,
     build_schema,
     decode_row,
-    encode,
     encode_values,
     rfe_select,
+    training_matrix,
 )
-from cricpred.scoring import REFERENCE_POINTS_MODEL
-from cricpred.strength import PER_SEASON, build_ledger
+from cricpred.strength import PER_SEASON
 
-from conftest import match_like_schema, planted_signal_dataset
+from conftest import fixture_dataset, match_like_schema, planted_signal_dataset
 from pinned import digest_test
 
 
@@ -125,26 +124,15 @@ class TestEncode:
         start, stop = schema.group_slices()["venue"]
         assert not row[start:stop].any()
 
-    def test_fixture_weight_cells(self, matches_csv, players_csv):
-        from cricpred.dataset import load_matches, load_player_performances
-        dataset = load_matches(matches_csv)
-        players = load_player_performances(players_csv)
-        ledger = build_ledger(REFERENCE_POINTS_MODEL, players, dataset,
-                              mode=PER_SEASON)
-        schema = build_schema(dataset)
-        encoded = encode(dataset, ledger.weight_for, schema)
-        slices = schema.group_slices()
-        w1_col = slices["home_team_weight"][0]
-        w2_col = slices["away_team_weight"][0]
-        by_id = dict(zip(encoded.row_ids, range(len(encoded.row_ids))))
-        found = False
-        for m in dataset.decisive():
-            if m.season == 2017 and m.home_team == "CSK" and m.away_team == "RR":
-                i = by_id[m.match_id]
-                assert encoded.X[i, w1_col] == 101.75
-                assert encoded.X[i, w2_col] == 123.65625
-                found = True
-        assert found
+    def test_fixture_weight_cells(self, matches_csv):
+        encoded = fixture_dataset()
+        slices = encoded.schema.group_slices()
+        weights = encoded.X[:, [slices["home_team_weight"][0],
+                                slices["away_team_weight"][0]]]
+        by_id = dict(zip(encoded.row_ids, weights.tolist()))
+        found = [by_id[m.match_id] for m in load_matches(matches_csv).decisive()
+                 if (m.season, m.home_team, m.away_team) == (2017, "CSK", "RR")]
+        assert found and all(w == [101.75, 123.65625] for w in found)
 
     def test_rows_differ_only_in_home_block(self):
         schema = match_like_schema()
@@ -175,11 +163,8 @@ class TestEncode:
             assert stop - start == len(cats) - 1
         # with >= 2 categories present, the sum of a group's columns is not
         # the constant-one vector (the dropped category yields a zero row)
-        ledger = build_ledger(
-            REFERENCE_POINTS_MODEL,
-            [_perf(t) for t in sorted(TEAMS)],
-            dataset, mode=PER_SEASON)
-        encoded = encode(dataset, ledger.weight_for, schema)
+        encoded = training_matrix(dataset, [_perf(t) for t in sorted(TEAMS)], PER_SEASON)[0]
+        assert encoded.schema == schema
         for name, cats in schema.categorical_groups:
             if len(cats) < 2:
                 continue
@@ -191,10 +176,7 @@ class TestEncode:
         matches = (make_match(0, "CSK", "RR", "CSK", "bat", "V", "CSK"),
                    make_match(1, "RR", "CSK", "RR", "field", "V", ""))
         dataset = MatchDataset(matches=matches)
-        ledger = build_ledger(REFERENCE_POINTS_MODEL,
-                              [_perf("CSK"), _perf("RR")], dataset,
-                              mode=PER_SEASON)
-        encoded = encode(dataset, ledger.weight_for, build_schema(dataset))
+        encoded = training_matrix(dataset, [_perf("CSK"), _perf("RR")], PER_SEASON)[0]
         assert encoded.row_ids == ("m0",)
 
 

@@ -5,7 +5,7 @@
     PYTHONPATH=src python tools/choose_default.py random_forest min_leaf 1 5 --leagues fixture
 
 A league is a ``perfbench/league.py`` seed (the file is only read) or
-``fixture``, encoded by the code ``cricpred cv --mode per_season`` runs.
+``fixture``, encoded by ``features.training_matrix`` as ``cv --mode per_season`` does.
 Each value trains the kind's spec at seed 0 with only that hyperparameter
 set, and predicts each row from the model trained on the other folds of
 ``stratified_folds(y, K, SEED)`` (``evaluation.out_of_fold``, the loop
@@ -22,9 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
-from cricpred.cli import _encoded_dataset
 from cricpred.dataset import load_matches, load_player_performances
 from cricpred.evaluation import out_of_fold, report_from_predictions
+from cricpred.features import training_matrix
 from cricpred.models import make_spec
 from cricpred.strength import PER_SEASON
 
@@ -42,7 +42,7 @@ def encoded(league):
                 int(league), where)
         dataset = load_matches(where / "matches.csv")
         players = load_player_performances(where / "players.csv")
-    return _encoded_dataset(argparse.Namespace(mode=PER_SEASON), dataset, players)[0]
+    return training_matrix(dataset, players, PER_SEASON)[0]
 
 
 def main():
